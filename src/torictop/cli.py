@@ -187,12 +187,6 @@ def _cmd_zk(args) -> dict:
 def _cmd_qtm(args) -> dict:
     obj, data = _read_input(args)
     P, lam = _quasitoric_of(obj)
-    report = validate_characteristic(P, lam)
-    if not report.valid:
-        raise InputError(
-            f"characteristic matrix fails on face {report.failing_face} "
-            f"(determinant {report.failing_det})"
-        )
     pres = cohomology_ring(P, lam, args.coeff)
     return _report("qtm", {"coeff": args.coeff}, data, pres.to_json_obj())
 

@@ -228,9 +228,18 @@ def _coeff_kind(coeff: str):
         return "Z", None
     if coeff == "Q":
         return "Q", None
-    if coeff.startswith("F") and coeff[1:].isdigit():
-        p = int(coeff[1:])
-        linalg.PrimeField(p)  # primality check
+    if coeff.startswith("F") and coeff[1:].isdecimal():
+        try:
+            p = int(coeff[1:])
+        except ValueError:  # more digits than int() will parse
+            raise InputError(f"coefficient tag {coeff!r} is too long") from None
+        # rank_mod_p eliminates in int64, where (p-1)^2 must not overflow
+        if (p - 1) ** 2 >= 2**63:
+            raise InputError(
+                f"coefficient tag {coeff!r}: F<p> needs (p-1)^2 < 2^63 for the "
+                "int64 rank kernel, so p <= 3037000500"
+            )
+        linalg.field_for_tag(coeff)  # primality check
         return "Fp", p
     raise InputError(f"unknown coefficient tag {coeff!r}; use 'Z', 'Q' or 'F<p>'")
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
+
 
 # ---------------------------------------------------------------------------
 # exact integer routines
@@ -214,9 +216,12 @@ def field_for_tag(coeff: str):
     """Map a coefficient tag ('Q', 'F2', 'F3', ...) to a field object."""
     if coeff == "Q":
         return RationalField()
-    if coeff.startswith("F"):
-        return PrimeField(int(coeff[1:]))
-    raise ValueError(f"no field for coefficient tag {coeff!r}")
+    if coeff.startswith("F") and coeff[1:].isdecimal():
+        try:
+            return PrimeField(int(coeff[1:]))
+        except ValueError:
+            raise InputError(f"coefficient tag {coeff!r} does not name a prime") from None
+    raise InputError(f"unknown coefficient tag {coeff!r}; use 'Q' or 'F<p>'")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +231,12 @@ def field_for_tag(coeff: str):
 def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form.
 
-    Returns (reduced nonzero rows, pivot column indices).  Pivots are chosen
-    greedily left to right, first nonzero row wins; output is independent of
-    the input row order only up to row scaling, so callers that need
-    byte-stable output should fix their row order.
+    Returns (reduced nonzero rows, pivot column indices).  Every pivot row
+    is zero in the other pivot columns, so the result depends only on the
+    row space, not on the order of the input rows.
     """
     work = [list(r) for r in rows]
     pivots: list[int] = []
-    out: list[list] = []
     r = 0
     m = len(work)
     for c in range(ncols):
@@ -242,17 +245,18 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+        prow = work[r] = [field.mul(inv, x) for x in work[r]]
+        support = [j for j, x in enumerate(prow) if not field.is_zero(x)]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and not field.is_zero(f):
+                for j in support:
+                    row[j] = field.sub(row[j], field.mul(f, prow[j]))
         pivots.append(c)
-        out.append(work[r])
         r += 1
         if r == m:
             break
-    return out, pivots
+    return work[:r], pivots
 
 
 def reduce_against(vec: list, rref_rows: list[list], pivots: list[int], field) -> list:

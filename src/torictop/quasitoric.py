@@ -5,14 +5,17 @@ an n x m integer matrix whose column j is attached to vertex j of the dual
 complex.  The matrix is admissible when every maximal face yields a column
 submatrix of determinant +-1; this is checked with exact integer arithmetic.
 
-The cohomology ring over a field is presented in the classical way: the face
-ring of the dual complex (polynomial generators v_1..v_m in degree 2, with
-products over non-faces set to zero) divided by the n linear forms given by
-the rows of the characteristic matrix.  Per even degree this is plain linear
-algebra, done here with a fixed monomial order so output is deterministic:
-the linear forms are pivoted on the lexicographically first maximal face,
-and in each degree the surviving basis monomials are the lexicographically
-smallest face-supported monomials.
+The cohomology ring over a field is k[v_1..v_m] / (I_K + J), where I_K is
+generated by the monomials of the minimal non-faces of the dual complex and J
+by the n linear forms in the rows of the characteristic matrix
+(Davis-Januszkiewicz).  The first maximal face sigma0 has a unimodular minor,
+so J solves each v_i, i in sigma0, as a linear form in the r = m - n
+remaining variables w.  Substituting these forms into the minimal non-face
+monomials leaves an ideal of k[w], reduced degree by degree with one RREF
+over the face-supported w-monomials in descending lexicographic order.  The
+basis of each degree is the set of non-pivot monomials, smallest first: the
+lexicographic standard monomials of I_K + J for the order that puts sigma0
+first, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -70,29 +73,6 @@ def validate_characteristic(P: PolytopeDual, lam: CharacteristicMatrix) -> Valid
 
 # ---------------------------------------------------------------------------
 # cohomology of the quotient
-
-
-def _compositions(total: int, parts: int):
-    """Positive integer compositions of ``total`` into ``parts`` slots."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _support_mask(exp: tuple[int, ...]) -> int:
-    mask = 0
-    for i, e in enumerate(exp):
-        if e:
-            mask |= 1 << i
-    return mask
 
 
 @dataclass(frozen=True)
@@ -161,24 +141,36 @@ class CohomologyPresentation:
         return obj
 
 
-class _DegreeSystem:
-    """Monomial columns and relation reducer for one polynomial degree."""
+def _face_monomials(k: int, bits: list[int], faces: set[int], mask: int = 0) -> list[tuple]:
+    """Exponent vectors of degree k over the vertex bits, lexicographically
+    descending, whose support joined with ``mask`` is a face.
 
-    def __init__(self, cols, col_index, rref_rows, pivots, basis_cols, field):
-        self.cols = cols
-        self.col_index = col_index
-        self.rref_rows = rref_rows
-        self.pivots = pivots
-        self.basis_cols = basis_cols  # column indices of surviving monomials
-        self.field = field
+    Faces are closed under subsets, so a branch stops at its first non-face.
+    """
+    if not bits:
+        return [()] if k == 0 else []
+    out = []
+    for a in range(k, -1, -1):
+        support = mask | bits[0] if a else mask
+        if support in faces:
+            out.extend((a,) + rest for rest in _face_monomials(k - a, bits[1:], faces, support))
+    return out
 
-    @property
-    def basis(self):
-        return tuple(self.cols[c] for c in self.basis_cols)
 
-    def normal_form(self, vec):
-        red = linalg.reduce_against(vec, self.rref_rows, self.pivots, self.field)
-        return tuple(red[c] for c in self.basis_cols)
+def _minimal_non_faces(faces: set[int], m: int) -> list[int]:
+    """Masks of the vertex sets that are not faces although every set one
+    vertex smaller is.
+
+    Each one is a face plus a vertex above all of the face's vertices, so
+    only those candidates are tested, never all 2^m subsets.
+    """
+    out = []
+    for f in faces:
+        for v in range(f.bit_length(), m):
+            s = f | 1 << v
+            if s not in faces and all(s & ~(1 << u) in faces for u in range(v) if f >> u & 1):
+                out.append(s)
+    return sorted(out)
 
 
 def cohomology_ring(
@@ -201,120 +193,99 @@ def cohomology_ring(
     n, m = P.n, P.m
     h = h_vector_of(P).entries
 
+    # The linear relations read A v_sigma0 + B w = 0 with A unimodular, so
+    # v_sigma0 = -A^-1 B w and H* = k[w] / (images of the minimal non-faces).
     sigma0 = min(K.maximal_faces)
-    in_sigma0 = set(sigma0)
-    priority = list(sigma0) + [v for v in range(1, m + 1) if v not in in_sigma0]
+    free = [v for v in range(1, m + 1) if v not in sigma0]
+    r = len(free)
+    try:
+        inv = linalg.unimodular_inverse(lam.column_submatrix(sigma0))
+    except ValueError as e:
+        raise ConsistencyError(
+            f"linear forms are not invertible on the first maximal face {sigma0}: {e}"
+        )
+    solved = linalg.matmul_int(inv, lam.column_submatrix(free), n)
+    form = {v: [field.neg(field.from_int(x)) for x in solved[i]] for i, v in enumerate(sigma0)}
+    for t, v in enumerate(free):
+        form[v] = [field.one if u == t else field.zero for u in range(r)]
 
-    def key(exp):
-        return tuple(exp[v - 1] for v in priority)
+    # A w-monomial whose support is a non-face lies in the ideal, and so does
+    # every multiple of it: only face-supported w-monomials need a column.
+    faces = {f for lst in K.faces_by_card().values() for f in lst}
 
-    faces = sorted(
-        {mask for lst in K.faces_by_card().values() for mask in lst if mask},
-        key=lambda f: f.bit_count(),
-    )
-    face_verts = {}
-    for f in faces:
-        vs = []
-        x = f
-        v = 1
-        while x:
-            if x & 1:
-                vs.append(v)
-            x >>= 1
-            v += 1
-        face_verts[f] = vs
-    face_set = set(faces)
+    def supported(alpha):
+        return sum(1 << (v - 1) for v, a in zip(free, alpha) if a) in faces
 
-    def monomials(k):
-        if k == 0:
-            return [(0,) * m]
-        out = []
-        for f in faces:
-            vs = face_verts[f]
-            if len(vs) > k:
-                continue
-            for comp in _compositions(k, len(vs)):
-                exp = [0] * m
-                for v, e in zip(vs, comp):
-                    exp[v - 1] = e
-                out.append(tuple(exp))
-        out.sort(key=key, reverse=True)
-        return out
+    images = []  # (degree, {w-exponent: coefficient}) per minimal non-face
+    sigma0_mask = sum(1 << (v - 1) for v in sigma0)
+    for s in _minimal_non_faces(faces, m):
+        if not s & sigma0_mask:
+            continue  # a non-face monomial in w alone
+        poly = {(0,) * r: field.one}
+        for v in range(1, m + 1):
+            if s >> (v - 1) & 1:
+                prod: dict = {}
+                for exp, c in poly.items():
+                    for t, a in enumerate(form[v]):
+                        e = exp[:t] + (exp[t] + 1,) + exp[t + 1 :]
+                        if not field.is_zero(a) and supported(e):
+                            prod[e] = field.add(prod.get(e, field.zero), field.mul(c, a))
+                poly = prod
+        images.append((s.bit_count(), poly))
 
-    lam_field = [[field.from_int(x) for x in row] for row in lam.rows]
-
-    systems: dict[int, _DegreeSystem] = {}
-    prev_monomials: list[tuple[int, ...]] = []
-    for k in range(0, n + 2):
-        cols = monomials(k)
+    # Per degree, one RREF over the w-monomials, largest first: the pivots are
+    # the lex leading terms of the ideal, the rest its standard monomials.
+    bits = [1 << (v - 1) for v in free]
+    monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
+    systems, w_basis = [], []
+    for k, cols in enumerate(monomials):
         col_index = {c: i for i, c in enumerate(cols)}
         rows = []
-        if k >= 1:
-            for i in range(n):
-                lam_row = lam_field[i]
-                for mu in prev_monomials:
-                    vec = [field.zero] * len(cols)
-                    hit = False
-                    for j in range(m):
-                        c = lam_row[j]
-                        if field.is_zero(c):
-                            continue
-                        exp = list(mu)
-                        exp[j] += 1
-                        texp = tuple(exp)
-                        idx = col_index.get(texp)
-                        if idx is None:
-                            continue  # non-face monomial: zero in the face ring
-                        vec[idx] = field.add(vec[idx], c)
-                        hit = True
-                    if hit:
-                        rows.append(vec)
+        for d, poly in images:
+            for alpha in monomials[k - d] if k >= d else ():
+                row = [field.zero] * len(cols)
+                for exp, c in poly.items():
+                    idx = col_index.get(tuple(a + b for a, b in zip(alpha, exp)))
+                    if idx is not None:
+                        row[idx] = c
+                rows.append(row)
         rref_rows, pivots = linalg.rref(rows, len(cols), field)
-        basis_cols = [c for c in range(len(cols)) if c not in set(pivots)]
-        basis_cols.reverse()  # ascending priority order: smallest monomials first
-        systems[k] = _DegreeSystem(cols, col_index, rref_rows, pivots, basis_cols, field)
-        if k == 1 and sorted(pivots) != list(range(n)):
-            raise ConsistencyError(
-                "linear forms failed to pivot on the first maximal face; "
-                "the unimodular minor should have made this impossible"
-            )
+        pivot_set = set(pivots)
+        basis_cols = [c for c in reversed(range(len(cols))) if c not in pivot_set]
         want = h[k] if k <= n else 0
         if len(basis_cols) != want:
             raise ConsistencyError(
                 f"degree {2 * k} has dimension {len(basis_cols)}, "
                 f"h-vector predicts {want}"
             )
-        prev_monomials = cols
+        systems.append((col_index, rref_rows, pivots, basis_cols))
+        w_basis.append([cols[c] for c in basis_cols])
 
-    basis = {k: systems[k].basis for k in range(n + 1)}
+    def normal_form(alpha):
+        col_index, rref_rows, pivots, basis_cols = systems[sum(alpha)]
+        if alpha not in col_index:
+            return (field.zero,) * len(basis_cols)
+        vec = [field.zero] * len(col_index)
+        vec[col_index[alpha]] = field.one
+        red = linalg.reduce_against(vec, rref_rows, pivots, field)
+        return tuple(red[c] for c in basis_cols)
 
-    mult_h2 = {}
-    for k in range(1, n):
-        table = []
-        target = systems[k + 1]
-        for b2 in basis[1]:
-            row = []
-            for bt in basis[k]:
-                prod = tuple(a + b for a, b in zip(b2, bt))
-                if _support_mask(prod) in face_set:
-                    vec = [field.zero] * len(target.cols)
-                    vec[target.col_index[prod]] = field.one
-                    row.append(target.normal_form(vec))
-                else:
-                    row.append(tuple([field.zero] * len(target.basis_cols)))
-            table.append(tuple(row))
-        mult_h2[k] = tuple(table)
+    def embed(alpha):
+        exp = [0] * m
+        for v, a in zip(free, alpha):
+            exp[v - 1] = a
+        return tuple(exp)
 
+    mult_h2 = {
+        k: tuple(
+            tuple(normal_form(tuple(a + b for a, b in zip(x, y))) for y in w_basis[k])
+            for x in w_basis[1]
+        )
+        for k in range(1, n)
+    }
     squaring_cols = None
     if coeff == "F2":
-        target = systems[2]
-        cols_out = []
-        for b2 in basis[1]:
-            sq = tuple(2 * e for e in b2)
-            vec = [field.zero] * len(target.cols)
-            vec[target.col_index[sq]] = field.one
-            cols_out.append(tuple(target.normal_form(vec)))
-        squaring_cols = tuple(cols_out)
+        squaring_cols = tuple(normal_form(tuple(2 * a for a in x)) for x in w_basis[1])
 
     return CohomologyPresentation(
         coeff=coeff,
@@ -322,7 +293,7 @@ def cohomology_ring(
         m=m,
         h=h,
         pivot_face=sigma0,
-        basis=basis,
+        basis={k: tuple(embed(alpha) for alpha in w_basis[k]) for k in range(n + 1)},
         mult_h2=mult_h2,
         squaring_cols=squaring_cols,
     )

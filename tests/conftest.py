@@ -3,6 +3,8 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
+The one exception is ``face_ring_cohomology``, the library's previous
+cohomology engine, kept as the differential oracle for ``cohomology_ring``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+
+from torictop import linalg
+from torictop.complexes import PolytopeDual, h_vector_of
+from torictop.errors import ConsistencyError, InputError
+from torictop.quasitoric import CharacteristicMatrix, CohomologyPresentation, validate_characteristic
 
 
 def powerset_faces(maximal_faces) -> set[tuple[int, ...]]:
@@ -94,6 +101,24 @@ def f2_rank(rows) -> int:
     return rank
 
 
+def mod_p_rank(rows, p) -> int:
+    """Rank over F_p by Gaussian elimination on Python ints (no overflow)."""
+    A = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(max((len(r) for r in A), default=0)):
+        piv = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][c], p - 2, p)
+        A[rank] = [x * inv % p for x in A[rank]]
+        for i in range(rank + 1, len(A)):
+            f = A[i][c]
+            A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
 def brute_boundaries(maximal_faces):
     """Augmented boundary matrices from scratch (tuples, not bitmasks).
 
@@ -168,3 +193,201 @@ def pascal_parity_table(limit: int):
         row = [1] + [(prev[i - 1] + prev[i]) % 2 for i in range(1, r)] + [1]
         rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the face-ring cohomology engine, kept as the oracle for cohomology_ring
+#
+# It presents H*(M; k) as the face ring k[K] divided by the linear forms of
+# the characteristic matrix and runs one dense RREF per degree over every
+# face-supported monomial.  cohomology_ring must agree with it byte for byte.
+
+
+def _compositions(total: int, parts: int):
+    """Positive integer compositions of ``total`` into ``parts`` slots."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _support_mask(exp: tuple[int, ...]) -> int:
+    mask = 0
+    for i, e in enumerate(exp):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+class _DegreeSystem:
+    """Monomial columns and relation reducer for one polynomial degree."""
+
+    def __init__(self, cols, col_index, rref_rows, pivots, basis_cols, field):
+        self.cols = cols
+        self.col_index = col_index
+        self.rref_rows = rref_rows
+        self.pivots = pivots
+        self.basis_cols = basis_cols  # column indices of surviving monomials
+        self.field = field
+
+    @property
+    def basis(self):
+        return tuple(self.cols[c] for c in self.basis_cols)
+
+    def normal_form(self, vec):
+        red = linalg.reduce_against(vec, self.rref_rows, self.pivots, self.field)
+        return tuple(red[c] for c in self.basis_cols)
+
+
+def face_ring_cohomology(
+    P: PolytopeDual, lam: CharacteristicMatrix, coeff: str = "Q"
+) -> CohomologyPresentation:
+    """Compute the field cohomology presentation of the quasitoric manifold.
+
+    Raises ConsistencyError when a computed dimension disagrees with the
+    h-vector; that equality is a theorem, so a failure means corrupt input
+    or a bug, never a property of valid data.
+    """
+    report = validate_characteristic(P, lam)
+    if not report.valid:
+        raise InputError(
+            f"characteristic matrix fails on face {report.failing_face} "
+            f"(determinant {report.failing_det})"
+        )
+    field = linalg.field_for_tag(coeff)
+    K = P.complex
+    n, m = P.n, P.m
+    h = h_vector_of(P).entries
+
+    sigma0 = min(K.maximal_faces)
+    in_sigma0 = set(sigma0)
+    priority = list(sigma0) + [v for v in range(1, m + 1) if v not in in_sigma0]
+
+    def key(exp):
+        return tuple(exp[v - 1] for v in priority)
+
+    faces = sorted(
+        {mask for lst in K.faces_by_card().values() for mask in lst if mask},
+        key=lambda f: f.bit_count(),
+    )
+    face_verts = {}
+    for f in faces:
+        vs = []
+        x = f
+        v = 1
+        while x:
+            if x & 1:
+                vs.append(v)
+            x >>= 1
+            v += 1
+        face_verts[f] = vs
+    face_set = set(faces)
+
+    def monomials(k):
+        if k == 0:
+            return [(0,) * m]
+        out = []
+        for f in faces:
+            vs = face_verts[f]
+            if len(vs) > k:
+                continue
+            for comp in _compositions(k, len(vs)):
+                exp = [0] * m
+                for v, e in zip(vs, comp):
+                    exp[v - 1] = e
+                out.append(tuple(exp))
+        out.sort(key=key, reverse=True)
+        return out
+
+    lam_field = [[field.from_int(x) for x in row] for row in lam.rows]
+
+    systems: dict[int, _DegreeSystem] = {}
+    prev_monomials: list[tuple[int, ...]] = []
+    for k in range(0, n + 2):
+        cols = monomials(k)
+        col_index = {c: i for i, c in enumerate(cols)}
+        rows = []
+        if k >= 1:
+            for i in range(n):
+                lam_row = lam_field[i]
+                for mu in prev_monomials:
+                    vec = [field.zero] * len(cols)
+                    hit = False
+                    for j in range(m):
+                        c = lam_row[j]
+                        if field.is_zero(c):
+                            continue
+                        exp = list(mu)
+                        exp[j] += 1
+                        texp = tuple(exp)
+                        idx = col_index.get(texp)
+                        if idx is None:
+                            continue  # non-face monomial: zero in the face ring
+                        vec[idx] = field.add(vec[idx], c)
+                        hit = True
+                    if hit:
+                        rows.append(vec)
+        rref_rows, pivots = linalg.rref(rows, len(cols), field)
+        basis_cols = [c for c in range(len(cols)) if c not in set(pivots)]
+        basis_cols.reverse()  # ascending priority order: smallest monomials first
+        systems[k] = _DegreeSystem(cols, col_index, rref_rows, pivots, basis_cols, field)
+        if k == 1 and sorted(pivots) != list(range(n)):
+            raise ConsistencyError(
+                "linear forms failed to pivot on the first maximal face; "
+                "the unimodular minor should have made this impossible"
+            )
+        want = h[k] if k <= n else 0
+        if len(basis_cols) != want:
+            raise ConsistencyError(
+                f"degree {2 * k} has dimension {len(basis_cols)}, "
+                f"h-vector predicts {want}"
+            )
+        prev_monomials = cols
+
+    basis = {k: systems[k].basis for k in range(n + 1)}
+
+    mult_h2 = {}
+    for k in range(1, n):
+        table = []
+        target = systems[k + 1]
+        for b2 in basis[1]:
+            row = []
+            for bt in basis[k]:
+                prod = tuple(a + b for a, b in zip(b2, bt))
+                if _support_mask(prod) in face_set:
+                    vec = [field.zero] * len(target.cols)
+                    vec[target.col_index[prod]] = field.one
+                    row.append(target.normal_form(vec))
+                else:
+                    row.append(tuple([field.zero] * len(target.basis_cols)))
+            table.append(tuple(row))
+        mult_h2[k] = tuple(table)
+
+    squaring_cols = None
+    if coeff == "F2":
+        target = systems[2]
+        cols_out = []
+        for b2 in basis[1]:
+            sq = tuple(2 * e for e in b2)
+            vec = [field.zero] * len(target.cols)
+            vec[target.col_index[sq]] = field.one
+            cols_out.append(tuple(target.normal_form(vec)))
+        squaring_cols = tuple(cols_out)
+
+    return CohomologyPresentation(
+        coeff=coeff,
+        n=n,
+        m=m,
+        h=h,
+        pivot_face=sigma0,
+        basis=basis,
+        mult_h2=mult_h2,
+        squaring_cols=squaring_cols,
+    )

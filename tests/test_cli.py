@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from torictop import fixtures
 from torictop.cli import main
@@ -9,6 +15,17 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def run_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "torictop.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def run_json(capsys, *argv):
@@ -208,6 +225,37 @@ def test_exit_code_2_on_invalid_matrix(capsys, tmp_path):
 def test_exit_code_2_on_missing_fixture(capsys):
     rc = main(["hvec", "--fixture", "does-not-exist"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, fixture, tag",
+    [
+        ("qtm", "cp2", "F4"),
+        ("qtm", "cp2", "F1"),
+        ("qtm", "cp2", "Fx"),
+        ("qtm", "cp2", "Z"),
+        ("zk", "polygon5", "F4"),
+        ("zk", "polygon5", "F1"),
+        ("qtm", "cp2", "F" + "7" * 5000),  # more digits than int() parses
+        ("zk", "polygon5", "F" + "7" * 5000),
+    ],
+    ids=lambda x: x if len(x) < 20 else "F<5000 digits>",
+)
+def test_exit_code_2_on_bad_coefficient_tag(command, fixture, tag):
+    proc = run_subprocess(command, "--fixture", fixture, "--coeff", tag)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "input error: " in proc.stderr and repr(tag) in proc.stderr
+
+
+def test_exit_code_2_on_prime_beyond_int64_rank_kernel():
+    from sympy import nextprime
+
+    tag = f"F{nextprime(2**40)}"
+    proc = run_subprocess("zk", "--fixture", "polygon5", "--coeff", tag)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert tag in proc.stderr and "(p-1)^2 < 2^63" in proc.stderr
 
 
 def test_exit_code_3_on_consistency_failure(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_reduced_betti, f2_rank, fraction_rank, random_complex_faces
+from conftest import brute_reduced_betti, f2_rank, fraction_rank, mod_p_rank, random_complex_faces
 from torictop import (
     GradedHomology,
     InputError,
@@ -16,7 +16,8 @@ from torictop import (
     smith_normal_form,
     validate_complex,
 )
-from torictop.homology import merge_torsion
+from torictop import linalg
+from torictop.homology import _coeff_kind, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -190,3 +191,26 @@ def test_field_rank_paths_agree_with_oracles():
 
         assert rank_int(rows) == fraction_rank(rows)
         assert rank_mod_p(rows, 2) == f2_rank(rows)
+
+
+def test_largest_prime_below_the_int64_bound_gives_exact_ranks():
+    from sympy import nextprime, prevprime
+
+    # rank_mod_p works in int64, so F<p> is accepted while (p-1)^2 < 2^63
+    p = prevprime(3037000501)
+    assert (p - 1) ** 2 < 2**63 <= (nextprime(p) - 1) ** 2
+    assert _coeff_kind(f"F{p}") == ("Fp", p)
+    with pytest.raises(InputError, match=r"\(p-1\)\^2 < 2\^63"):
+        _coeff_kind(f"F{nextprime(p)}")
+    rng = random.Random(2)
+    for _ in range(100):
+        # a sum of two outer products: rank 2 over Q and, generically, mod p
+        u, v, x, y = ([rng.randint(-5000, 5000) for _ in range(4)] for _ in range(4))
+        rows = [[u[i] * v[j] + x[i] * y[j] for j in range(4)] for i in range(4)]
+        want = mod_p_rank(rows, p)
+        assert want == 2
+        assert linalg.rank_mod_p(rows, p) == want
+    tag = f"F{p}"
+    assert reduced_homology(polygon_boundary(7), tag) == GradedHomology.from_dict(tag, {1: (1, ())})
+    rp2 = validate_complex(RP2_FACES, 6)
+    assert reduced_homology(rp2, tag) == GradedHomology.from_dict(tag, {})

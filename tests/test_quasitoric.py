@@ -1,6 +1,11 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import face_ring_cohomology
 
 from torictop import (
     CharacteristicMatrix,
@@ -278,3 +283,52 @@ def test_presentation_serializes():
 
         json.dumps(obj)  # all values JSON-safe
         assert obj["dims"] == {"0": 1, "2": 2, "4": 1}
+
+
+# ---------------------------------------------------------------------------
+# differential check against the face-ring engine kept in conftest
+
+
+def report_bytes(pres):
+    return json.dumps(pres.to_json_obj(), sort_keys=True).encode()
+
+
+def assert_engines_agree(P, lam, coeff):
+    want = report_bytes(face_ring_cohomology(P, lam, coeff))
+    assert report_bytes(cohomology_ring(P, lam, coeff)) == want
+
+
+def test_engine_matches_face_ring_oracle_on_fixtures():
+    for name in fixtures.quasitoric_names():
+        P, lam = fixtures.load_quasitoric(name)
+        for coeff in FIELDS:
+            assert_engines_agree(P, lam, coeff)
+
+
+@st.composite
+def bott_towers(draw, max_n):
+    """(stage dimensions, twists in [-3, 3]) of a tower of total dimension <= max_n."""
+    n = draw(st.sampled_from(range(max_n, 0, -1)))  # the largest towers first
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    dims = [b - a for a, b in zip(bounds, bounds[1:])]
+    params = [
+        [draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) for _ in range(j)]
+        for j, d in enumerate(dims)
+    ]
+    return dims, params
+
+
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE_SETTINGS
+@given(bott_towers(max_n=4), st.sampled_from(("F2", "F3", "F5")))
+def test_engine_matches_face_ring_oracle_on_towers_mod_p(tower, coeff):
+    assert_engines_agree(*generalized_bott(*tower), coeff)
+
+
+@ORACLE_SETTINGS
+@given(bott_towers(max_n=3))
+def test_engine_matches_face_ring_oracle_on_towers_over_q(tower):
+    assert_engines_agree(*generalized_bott(*tower), "Q")
