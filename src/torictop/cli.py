@@ -42,7 +42,7 @@ from .projection import (
     suspension_triviality_check,
     two_simplices_check,
 )
-from .quasitoric import cohomology_ring, generalized_bott, validate_characteristic
+from .quasitoric import cohomology_ring, generalized_bott, require_admissible
 from .splitting import EvenBettiData, is_primitive_root, sphere_wedge_decomposition, split
 
 
@@ -199,12 +199,7 @@ def _cmd_split(args) -> dict:
     else:
         if "lambda" in obj:
             P, lam = _quasitoric_of(obj)
-            rep = validate_characteristic(P, lam)
-            if not rep.valid:
-                raise InputError(
-                    f"characteristic matrix fails on face {rep.failing_face} "
-                    f"(determinant {rep.failing_det})"
-                )
+            require_admissible(P, lam)
         else:
             P = _polytope_of(obj)
         b = EvenBettiData.from_h_vector(h_vector_of(P))

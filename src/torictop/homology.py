@@ -2,9 +2,11 @@
 
 Integral homology goes through an integer Smith normal form with a fixed
 pivot rule (smallest nonzero absolute value, then lowest row, then lowest
-column), so results are bit-stable across platforms.  Field coefficients
-skip torsion and use rank computations only: F_p ranks are vectorized,
-rational ranks use fraction-free integer elimination.
+column), so results are bit-stable across platforms.  Over Z one SNF per
+boundary map gives both its rank and its torsion.  Field coefficients skip
+torsion and use rank computations only: F_p ranks come from elimination on
+Python ints reduced mod p, exact for every prime, and rational ranks from
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -229,22 +231,12 @@ def _coeff_kind(coeff: str):
     if coeff == "Q":
         return "Q", None
     if coeff.startswith("F") and coeff[1:].isdecimal():
-        try:
-            p = int(coeff[1:])
-        except ValueError:  # more digits than int() will parse
-            raise InputError(f"coefficient tag {coeff!r} is too long") from None
-        # rank_mod_p eliminates in int64, where (p-1)^2 must not overflow
-        if (p - 1) ** 2 >= 2**63:
-            raise InputError(
-                f"coefficient tag {coeff!r}: F<p> needs (p-1)^2 < 2^63 for the "
-                "int64 rank kernel, so p <= 3037000500"
-            )
-        linalg.field_for_tag(coeff)  # primality check
-        return "Fp", p
+        return "Fp", linalg.prime_of_tag(coeff)
     raise InputError(f"unknown coefficient tag {coeff!r}; use 'Z', 'Q' or 'F<p>'")
 
 
-def _boundary_rank(mat: IntegerMatrix, kind: str, p: int | None) -> int:
+def _field_rank(mat: IntegerMatrix, kind: str, p: int | None) -> int:
+    """Rank over Q or F_p; over Z the rank comes from the SNF instead."""
     if mat.rows == 0 or mat.cols == 0:
         return 0
     if kind == "Fp":
@@ -270,18 +262,19 @@ def _homology_from_boundaries(
                     f"malformed chain complex: boundary maps at degree "
                     f"{base_degree + k + 1} do not compose to zero"
                 )
-    ranks = [_boundary_rank(mat, kind, p) for mat in boundaries]
-    snfs: list[SNFResult | None] = [None] * len(boundaries)
+    if kind == "Z":
+        snfs = [smith_normal_form(mat) for mat in boundaries]
+        ranks = [snf.rank for snf in snfs]
+        torsion = [snf.torsion for snf in snfs]
+    else:
+        ranks = [_field_rank(mat, kind, p) for mat in boundaries]
+        torsion = [()] * len(boundaries)
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
         out_rank = ranks[k - 1] if k >= 1 else 0
         in_rank = ranks[k] if k < len(boundaries) else 0
         free = dim - out_rank - in_rank
-        tors: tuple[int, ...] = ()
-        if kind == "Z" and k < len(boundaries):
-            if snfs[k] is None:
-                snfs[k] = smith_normal_form(boundaries[k])
-            tors = snfs[k].torsion
+        tors = torsion[k] if k < len(boundaries) else ()
         if free < 0:
             raise InputError("rank bookkeeping failed; input is not a chain complex")
         if free or tors:

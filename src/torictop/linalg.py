@@ -2,14 +2,14 @@
 
 Everything here is deterministic and exact: integer routines use Python's
 arbitrary-precision ints (Bareiss fraction-free elimination), field routines
-use either Fraction arithmetic or ints mod p.  No floating point.
+use either Fraction arithmetic or Python ints reduced mod p, so F_p ranks are
+exact for every prime.  No floating point, and no dependency outside the
+standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InputError
 
@@ -112,42 +112,71 @@ def matmul_int(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p (vectorized elimination)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return 0
-    A = np.array(rows, dtype=np.int64) % p
-    rank = 0
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        below = A[r + 1 :, c]
-        if below.size:
-            A[r + 1 :] = (A[r + 1 :] - np.outer(below, A[r])) % p
-        rank += 1
-        r += 1
-        if r == m:
-            break
-    return rank
+    """Rank of an integer matrix over F_p, by elimination on Python ints.
+
+    Each pivot row is stored normalized (leading entry 1) under its leading
+    column, as its nonzero (column, entry) pairs; every input row is reduced
+    in place against the pivots it meets and then either becomes a new pivot
+    or vanishes.
+    """
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        v = [x % p for x in row]
+        for c, x in enumerate(v):
+            if not x:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(x, -1, p)
+                pivots[c] = [(j, y * inv % p) for j, y in enumerate(v) if y]
+                break
+            for j, y in prow:  # clears v[c]; v is zero left of c already
+                v[j] = (v[j] - x * y) % p
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
 # coefficient fields
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)).  Stopping at 37 would not do: the composite
+# 318665857834031151167461 passes the first 12 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided exactly only below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField:
     """Arithmetic in F_p with elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -212,15 +241,28 @@ class RationalField:
         return a == 0
 
 
+def prime_of_tag(coeff: str) -> int:
+    """The prime p of a tag 'F<p>', refused unless p < PRIME_BOUND is prime."""
+    try:
+        p = int(coeff[1:])
+    except ValueError:  # more digits than int() will parse
+        p = PRIME_BOUND
+    if p >= PRIME_BOUND:
+        raise InputError(
+            f"coefficient tag {coeff!r}: F<p> needs p < {PRIME_BOUND}, "
+            "below which primality is decided exactly"
+        )
+    if not is_prime(p):
+        raise InputError(f"coefficient tag {coeff!r} does not name a prime")
+    return p
+
+
 def field_for_tag(coeff: str):
     """Map a coefficient tag ('Q', 'F2', 'F3', ...) to a field object."""
     if coeff == "Q":
         return RationalField()
     if coeff.startswith("F") and coeff[1:].isdecimal():
-        try:
-            return PrimeField(int(coeff[1:]))
-        except ValueError:
-            raise InputError(f"coefficient tag {coeff!r} does not name a prime") from None
+        return PrimeField(prime_of_tag(coeff))
     raise InputError(f"unknown coefficient tag {coeff!r}; use 'Q' or 'F<p>'")
 
 

@@ -14,8 +14,6 @@ No cell structure on Z_K itself is ever built.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, _vertices_of, full_subcomplex
@@ -24,8 +22,6 @@ from .homology import GradedHomology, merge_torsion, reduced_homology
 
 DEFAULT_CAP_FIELD = 24
 DEFAULT_CAP_EXACT = 16
-
-WORKERS_ENV = "TORICTOP_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -82,12 +78,6 @@ def _gray_masks(m: int):
         yield i ^ (i >> 1)
 
 
-def _summand_job(args):
-    K, mask = args
-    sub = full_subcomplex(K, _vertices_of(mask))
-    return mask, sub
-
-
 def _cap_for(coeff: str, cap: int | None) -> int:
     if cap is not None:
         return cap
@@ -119,29 +109,16 @@ def wedge_splitting(
         if any(s < 1 or s > K.m for s in size_filter):
             raise InputError("size filter values must lie in 1..m")
 
-    masks = [
-        mask
-        for mask in _gray_masks(K.m)
-        if size_filter is None or mask.bit_count() in size_filter
-    ]
-
-    try:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(masks) >= 4:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            subs = list(pool.map(_summand_job, ((K, mk) for mk in masks), chunksize=64))
-    else:
-        subs = [_summand_job((K, mk)) for mk in masks]
-
     summands: list[WedgeSummand] = []
     trivial = 0
     total_rank: dict[int, int] = {}
     total_tors: dict[int, list[int]] = {}
-    for mask, sub in subs:
-        hom = reduced_homology(sub, coeff)
+    for mask in _gray_masks(K.m):
         size = mask.bit_count()
+        if size_filter is not None and size not in size_filter:
+            continue
+        sub = full_subcomplex(K, _vertices_of(mask))
+        hom = reduced_homology(sub, coeff)
         if hom.is_trivial():
             trivial += 1
             if not keep_trivial:

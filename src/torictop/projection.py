@@ -33,7 +33,7 @@ from .quasitoric import (
     CohomologyPresentation,
     QuadraticPresentationF2,
     cube_presentation,
-    validate_characteristic,
+    require_admissible,
 )
 from .splitting import (
     EvenBettiData,
@@ -176,12 +176,7 @@ def projection_decomposition(
     piece X_i computed from the h-vector Betti numbers.
     """
     _require_odd_prime(p)
-    report = validate_characteristic(P, lam)
-    if not report.valid:
-        raise InputError(
-            f"characteristic matrix fails on face {report.failing_face} "
-            f"(determinant {report.failing_det})"
-        )
+    require_admissible(P, lam)
     certs, _ = _certificates(P, p, cap)
     targets = split(EvenBettiData.from_h_vector(h_vector_of(P)), p)
     groups: dict[int, list[SummandCertificate]] = {i: [] for i in range(1, p)}
@@ -413,12 +408,7 @@ def p_local_note(P: PolytopeDual, lam: CharacteristicMatrix) -> dict:
     The statement is homotopy-theoretic (torsion in the homotopy of p-local
     finite complexes) and is reported, not certified, by this library.
     """
-    report = validate_characteristic(P, lam)
-    if not report.valid:
-        raise InputError(
-            f"characteristic matrix fails on face {report.failing_face} "
-            f"(determinant {report.failing_det})"
-        )
+    require_admissible(P, lam)
     note = {
         "statement": (
             "for every admissible pair and every prime p, the p-localized "

@@ -71,6 +71,16 @@ def validate_characteristic(P: PolytopeDual, lam: CharacteristicMatrix) -> Valid
     return ValidityReport(valid=True)
 
 
+def require_admissible(P: PolytopeDual, lam: CharacteristicMatrix) -> None:
+    """Raise InputError naming the first maximal face with a non-unit minor."""
+    report = validate_characteristic(P, lam)
+    if not report.valid:
+        raise InputError(
+            f"characteristic matrix fails on face {report.failing_face} "
+            f"(determinant {report.failing_det})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # cohomology of the quotient
 
@@ -182,12 +192,7 @@ def cohomology_ring(
     h-vector; that equality is a theorem, so a failure means corrupt input
     or a bug, never a property of valid data.
     """
-    report = validate_characteristic(P, lam)
-    if not report.valid:
-        raise InputError(
-            f"characteristic matrix fails on face {report.failing_face} "
-            f"(determinant {report.failing_det})"
-        )
+    require_admissible(P, lam)
     field = linalg.field_for_tag(coeff)
     K = P.complex
     n, m = P.n, P.m
@@ -509,12 +514,7 @@ def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPres
         if len(non) != 1:
             raise InputError("dual complex is not the boundary of the 3-dimensional cross-polytope")
         partner[v] = non[0]
-    report = validate_characteristic(P, lam)
-    if not report.valid:
-        raise InputError(
-            f"characteristic matrix fails on face {report.failing_face} "
-            f"(determinant {report.failing_det})"
-        )
+    require_admissible(P, lam)
     sigma0 = min(K.maximal_faces)
     free = [partner[v] for v in sigma0]
     S = linalg.unimodular_inverse(lam.column_submatrix(sigma0))

@@ -24,20 +24,17 @@ from dataclasses import dataclass
 from .complexes import HVector
 from .errors import InputError
 from .homology import GradedHomology
+from .linalg import PRIME_BOUND, is_prime
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Exact for p < PRIME_BOUND; raises ValueError at or above it."""
+    return p != 2 and is_prime(p)
 
 
 def _require_odd_prime(p: int):
+    if p >= PRIME_BOUND:
+        raise InputError(f"p={p} is not below {PRIME_BOUND}, the bound of the exact primality test")
     if not is_odd_prime(p):
         if p == 2:
             raise InputError(

@@ -248,14 +248,40 @@ def test_exit_code_2_on_bad_coefficient_tag(command, fixture, tag):
     assert "input error: " in proc.stderr and repr(tag) in proc.stderr
 
 
-def test_exit_code_2_on_prime_beyond_int64_rank_kernel():
-    from sympy import nextprime
+def test_zk_accepts_prime_beyond_int64(capsys):
+    # 2^40 + 15 is prime, and its squares overflow int64; Z_K is torsion-free
+    proc = run_subprocess("zk", "--fixture", "polygon5", "--coeff", "F1099511627791")
+    assert proc.returncode == 0, proc.stderr
+    want = run_json(capsys, "zk", "--fixture", "polygon5", "--coeff", "Q")["results"]["total"]
+    assert json.loads(proc.stdout)["results"]["total"] == want
 
-    tag = f"F{nextprime(2**40)}"
-    proc = run_subprocess("zk", "--fixture", "polygon5", "--coeff", tag)
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zk", "--fixture", "polygon5", "--coeff", "F3317044064679887385962123"),
+        ("qtm", "--fixture", "cp2", "--coeff", "F3317044064679887385962123"),
+        ("split", "--fixture", "cp3", "--p", "3317044064679887385962123"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exit_code_2_on_prime_beyond_the_primality_bound(argv):
+    # the least prime above 3317044064679887385961981, where Miller-Rabin
+    # with the first 13 prime bases stops being exact
+    proc = run_subprocess(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert tag in proc.stderr and "(p-1)^2 < 2^63" in proc.stderr
+    assert "3317044064679887385961981" in proc.stderr
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, torictop, torictop.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exit_code_3_on_consistency_failure(capsys, monkeypatch):

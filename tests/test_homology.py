@@ -181,6 +181,27 @@ def test_graded_homology_serialization_round_trip():
     ]
 
 
+def test_snf_matches_sympy_and_gives_the_rank():
+    # over Z the homology takes ranks from the SNF alone, so check its
+    # invariant factors against sympy and its rank against rank_int
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(29)
+    cases = [[[0] * n for _ in range(m)] for m, n in ((1, 1), (2, 3), (4, 2))]
+    for _ in range(150):
+        m, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+        # a product through k dimensions has rank at most k
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        cases.append(linalg.matmul_int(left, right, k) if k else [[0] * n for _ in range(m)])
+    for rows in cases:
+        ours = smith_normal_form(IntegerMatrix.from_rows(rows))
+        diag = sympy_snf(Matrix(rows), domain=ZZ).diagonal()
+        assert ours.diagonal == tuple(abs(int(d)) for d in diag if d), rows
+        assert ours.rank == linalg.rank_int(rows)
+
+
 def test_field_rank_paths_agree_with_oracles():
     rng = random.Random(13)
     for _ in range(30):
@@ -191,26 +212,51 @@ def test_field_rank_paths_agree_with_oracles():
 
         assert rank_int(rows) == fraction_rank(rows)
         assert rank_mod_p(rows, 2) == f2_rank(rows)
+        for p in (3, 5, 1009):
+            assert rank_mod_p(rows, p) == mod_p_rank(rows, p)
 
 
-def test_largest_prime_below_the_int64_bound_gives_exact_ranks():
-    from sympy import nextprime, prevprime
+def test_large_primes_give_exact_ranks():
+    from sympy import nextprime
 
-    # rank_mod_p works in int64, so F<p> is accepted while (p-1)^2 < 2^63
-    p = prevprime(3037000501)
-    assert (p - 1) ** 2 < 2**63 <= (nextprime(p) - 1) ** 2
-    assert _coeff_kind(f"F{p}") == ("Fp", p)
-    with pytest.raises(InputError, match=r"\(p-1\)\^2 < 2\^63"):
-        _coeff_kind(f"F{nextprime(p)}")
-    rng = random.Random(2)
-    for _ in range(100):
-        # a sum of two outer products: rank 2 over Q and, generically, mod p
-        u, v, x, y = ([rng.randint(-5000, 5000) for _ in range(4)] for _ in range(4))
-        rows = [[u[i] * v[j] + x[i] * y[j] for j in range(4)] for i in range(4)]
-        want = mod_p_rank(rows, p)
-        assert want == 2
-        assert linalg.rank_mod_p(rows, p) == want
-    tag = f"F{p}"
-    assert reduced_homology(polygon_boundary(7), tag) == GradedHomology.from_dict(tag, {1: (1, ())})
-    rp2 = validate_complex(RP2_FACES, 6)
-    assert reduced_homology(rp2, tag) == GradedHomology.from_dict(tag, {})
+    # rank_mod_p eliminates on Python ints, so primes far beyond the int64
+    # range, up to the bound of the exact primality test, give exact ranks
+    for p in (nextprime(2**40), 2**61 - 1, nextprime(10**24)):
+        assert p < linalg.PRIME_BOUND
+        assert _coeff_kind(f"F{p}") == ("Fp", p)
+        rng = random.Random(2)
+        for _ in range(100):
+            # a sum of two outer products: rank 2 over Q and, generically, mod p
+            u, v, x, y = ([rng.randint(-5000, 5000) for _ in range(4)] for _ in range(4))
+            rows = [[u[i] * v[j] + x[i] * y[j] for j in range(4)] for i in range(4)]
+            want = mod_p_rank(rows, p)
+            assert want == 2
+            assert linalg.rank_mod_p(rows, p) == want
+        tag = f"F{p}"
+        assert reduced_homology(polygon_boundary(7), tag) == GradedHomology.from_dict(tag, {1: (1, ())})
+        rp2 = validate_complex(RP2_FACES, 6)
+        assert reduced_homology(rp2, tag) == GradedHomology.from_dict(tag, {})
+
+
+def test_is_prime_is_exact_below_its_bound():
+    from sympy import isprime
+
+    assert all(linalg.is_prime(n) == isprime(n) for n in range(-3, 5000))
+    # strong pseudoprimes to ever longer prefixes of the bases, up to the
+    # first twelve (2..37); the last one is why the test also uses 41
+    pseudoprimes = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                    3474749660383, 341550071728321, 3825123056546413051,
+                    318665857834031151167461)
+    for n in pseudoprimes:
+        assert not isprime(n) and not linalg.is_prime(n)
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(linalg.PRIME_BOUND)
+        assert linalg.is_prime(n) == isprime(n)
+    assert linalg.is_prime(linalg.PRIME_BOUND - 1) == isprime(linalg.PRIME_BOUND - 1)
+    with pytest.raises(ValueError):
+        linalg.is_prime(linalg.PRIME_BOUND)
+    with pytest.raises(InputError, match=str(linalg.PRIME_BOUND)):
+        _coeff_kind(f"F{linalg.PRIME_BOUND}")
+    with pytest.raises(InputError, match="does not name a prime"):
+        _coeff_kind("F318665857834031151167461")

@@ -163,10 +163,3 @@ def test_torsion_is_merged_into_divisibility_chains():
     # the full subset contributes the projective-plane torsion class
     assert h.torsion(K.m + 1 + 1) == (2,)
 
-
-def test_parallel_worker_path_matches_serial(monkeypatch):
-    K = polygon_boundary(5)
-    serial = wedge_splitting(K)
-    monkeypatch.setenv("TORICTOP_WORKERS", "2")
-    parallel = wedge_splitting(K)
-    assert serial == parallel
