@@ -33,13 +33,12 @@ from .complexes import (
     validate_complex,
 )
 from .errors import ConsistencyError, InputError
-from .momentangle import DEFAULT_CAP_EXACT, DEFAULT_CAP_FIELD, wedge_splitting
+from .momentangle import _cap_for, wedge_splitting
 from .projection import (
     cube_census,
     p_local_note,
-    projection_decomposition,
+    projection_reports,
     squaring_kernel,
-    suspension_triviality_check,
     two_simplices_check,
 )
 from .quasitoric import cohomology_ring, generalized_bott, require_admissible
@@ -171,7 +170,7 @@ def _cmd_zk(args) -> dict:
         except ValueError:
             raise InputError(f"bad --sizes value {args.sizes!r}")
     warnings = []
-    default_cap = DEFAULT_CAP_FIELD if args.coeff not in ("Z", "Q") else DEFAULT_CAP_EXACT
+    default_cap = _cap_for(args.coeff, None)
     if args.cap is not None and K.m > default_cap:
         warnings.append(
             f"m={K.m} is above the default enumeration cap {default_cap}; "
@@ -228,8 +227,7 @@ def _cmd_split(args) -> dict:
 def _cmd_projection(args) -> dict:
     obj, data = _read_input(args)
     P, lam = _quasitoric_of(obj)
-    rep = projection_decomposition(P, lam, args.p, cap=args.cap)
-    triv = suspension_triviality_check(P, args.p, cap=args.cap)
+    rep, triv = projection_reports(P, lam, args.p, cap=args.cap)
     warnings = []
     if not triv.applicable:
         warnings.append(

@@ -112,10 +112,6 @@ class SimplicialComplex:
             common &= f
         return common != 0
 
-    def is_simplex_on(self, vertices) -> bool:
-        """True when the given vertex set itself spans a face."""
-        return self.has_face(vertices)
-
     def to_json_obj(self) -> dict:
         return {"m": self.m, "facets": sorted(list(f) for f in self.maximal_faces)}
 

@@ -7,6 +7,11 @@ boundary map gives both its rank and its torsion.  Field coefficients skip
 torsion and use rank computations only: F_p ranks come from elimination on
 Python ints reduced mod p, exact for every prime, and rational ranks from
 fraction-free integer elimination.
+
+Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
+int entries only, and ``chain_homology`` checks that the maps chain and that
+d∘d = 0.  Those of ``boundary_matrices`` go to the kernels unchecked; the
+test suite checks that they compose to zero.
 """
 
 from __future__ import annotations
@@ -28,16 +33,18 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
+        """Checked constructor for matrices from outside: ints only, no bools."""
         r = len(rows)
-        if r:
-            c = len(rows[0])
-            if any(len(row) != c for row in rows):
+        c = len(rows[0]) if r else (cols if cols is not None else 0)
+        for i, row in enumerate(rows):
+            if len(row) != c:
                 raise InputError("ragged matrix")
-        else:
-            c = cols if cols is not None else 0
+            for j, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(f"matrix entry at row {i}, column {j} is {x!r}, not an integer")
         if cols is not None and cols != c:
             raise InputError("column count mismatch")
-        return cls(rows=r, cols=c, entries=tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows=r, cols=c, entries=tuple(map(tuple, rows)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -45,9 +52,6 @@ class IntegerMatrix:
 
     def row_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
 
 
 @dataclass(frozen=True)
@@ -235,40 +239,22 @@ def _coeff_kind(coeff: str):
     raise InputError(f"unknown coefficient tag {coeff!r}; use 'Z', 'Q' or 'F<p>'")
 
 
-def _field_rank(mat: IntegerMatrix, kind: str, p: int | None) -> int:
-    """Rank over Q or F_p; over Z the rank comes from the SNF instead."""
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    if kind == "Fp":
-        return linalg.rank_mod_p(mat.row_lists(), p)
-    return linalg.rank_int(mat.row_lists())
-
-
 def _homology_from_boundaries(
     boundaries: list[IntegerMatrix], dims: list[int], base_degree: int, coeff: str
 ) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
-    boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree."""
+    boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.
+    Trusts the maps to chain and to compose to zero (see chain_homology)."""
     kind, p = _coeff_kind(coeff)
-    for k, mat in enumerate(boundaries):
-        if mat.rows != dims[k] or mat.cols != dims[k + 1]:
-            raise InputError("boundary matrix dimensions do not chain")
-    for k in range(len(boundaries) - 1):
-        a, b = boundaries[k], boundaries[k + 1]
-        if a.rows and b.cols and a.cols:
-            prod = linalg.matmul_int(a.row_lists(), b.row_lists(), a.cols)
-            if any(any(x for x in row) for row in prod):
-                raise InputError(
-                    f"malformed chain complex: boundary maps at degree "
-                    f"{base_degree + k + 1} do not compose to zero"
-                )
+    torsion = [()] * len(boundaries)
     if kind == "Z":
         snfs = [smith_normal_form(mat) for mat in boundaries]
         ranks = [snf.rank for snf in snfs]
         torsion = [snf.torsion for snf in snfs]
+    elif kind == "Fp":
+        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
     else:
-        ranks = [_field_rank(mat, kind, p) for mat in boundaries]
-        torsion = [()] * len(boundaries)
+        ranks = [linalg.rank_int(mat.entries) for mat in boundaries]
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
         out_rank = ranks[k - 1] if k >= 1 else 0
@@ -287,10 +273,21 @@ def chain_homology(boundaries: list[IntegerMatrix], coeff: str = "Z") -> GradedH
 
     ``boundaries[k]`` is the map C_{k+1} -> C_k, so the list [d_1, ..., d_N]
     describes a complex concentrated in degrees 0..N with dim C_0 the row
-    count of d_1.  Consecutive maps are checked to compose to zero.
+    count of d_1.  As the entry point for boundaries from outside, it checks
+    that consecutive maps chain and compose to zero.
     """
     if not boundaries:
         raise InputError("need at least one boundary matrix")
+    pairs = list(zip(boundaries, boundaries[1:]))
+    if any(a.cols != b.rows for a, b in pairs):
+        raise InputError("boundary matrix dimensions do not chain")
+    for k, (a, b) in enumerate(pairs):
+        prod = linalg.matmul_int(a.entries, b.entries, a.cols)
+        if any(any(row) for row in prod):
+            raise InputError(
+                f"malformed chain complex: boundary maps at degree {k + 1} "
+                "do not compose to zero"
+            )
     dims = [boundaries[0].rows] + [mat.cols for mat in boundaries]
     return _homology_from_boundaries(boundaries, dims, 0, coeff)
 
@@ -318,7 +315,7 @@ def boundary_matrices(K: SimplicialComplex) -> tuple[list[IntegerMatrix], list[i
                 rows[index[c - 1][mask & ~low]][col] = sign
                 sign = -sign
                 rem &= rem - 1
-        mats.append(IntegerMatrix.from_rows(rows, cols=dims[c]))
+        mats.append(IntegerMatrix(dims[c - 1], dims[c], tuple(map(tuple, rows))))
     return mats, dims
 
 

@@ -7,9 +7,9 @@ computation into independent small jobs:
 
     reduced H_d(Z_K)  =  direct sum over I of  reduced H_{d-|I|-1}(K_I).
 
-Summands are enumerated in Gray-code order over bitmasks and folded into the
-total as they stream by; only summands with nonzero homology are kept.
-No cell structure on Z_K itself is ever built.
+Summands are enumerated once, as bitmasks in increasing order, and folded
+into the total as they stream by; only summands with nonzero homology are
+kept.  No cell structure on Z_K itself is ever built.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class WedgeSplitting:
         }
 
 
-def _gray_masks(m: int):
-    """Nonempty subsets of {1..m} as bitmasks, in Gray-code order."""
-    for i in range(1, 1 << m):
-        yield i ^ (i >> 1)
-
-
 def _cap_for(coeff: str, cap: int | None) -> int:
     if cap is not None:
         return cap
@@ -113,7 +107,7 @@ def wedge_splitting(
     trivial = 0
     total_rank: dict[int, int] = {}
     total_tors: dict[int, list[int]] = {}
-    for mask in _gray_masks(K.m):
+    for mask in range(1, 1 << K.m):
         size = mask.bit_count()
         if size_filter is not None and size not in size_filter:
             continue

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .complexes import PolytopeDual, full_subcomplex, h_vector_of
+from .complexes import PolytopeDual, h_vector_of
 from .errors import InputError
-from .momentangle import WedgeSplitting, wedge_splitting
+from .momentangle import wedge_splitting
 from .quasitoric import (
     CharacteristicMatrix,
     CohomologyPresentation,
@@ -155,15 +155,46 @@ def _certify_summand(subset, sub_homology, is_face, sub_dim, p) -> SummandCertif
     return SummandCertificate(subset, i, CERT_VANISHING if ok else CERT_NONE, details)
 
 
-def _certificates(P: PolytopeDual, p: int, cap: int | None) -> tuple[list[SummandCertificate], WedgeSplitting]:
+def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCertificate]:
     splitting = wedge_splitting(P.complex, coeff="Z", cap=cap, keep_trivial=True)
     certs = []
     for s in splitting.summands:
-        sub_is_face = P.complex.has_face(s.subset)
-        sub = full_subcomplex(P.complex, s.subset)
-        certs.append(_certify_summand(s.subset, s.homology, sub_is_face, sub.dim, p))
+        mask = sum(1 << (v - 1) for v in s.subset)
+        # K_I's largest face has `top` vertices: dim K_I = top - 1, and I
+        # spans a face exactly when top = |I|
+        top = max((f & mask).bit_count() for f in P.complex.masks)
+        certs.append(_certify_summand(s.subset, s.homology, top == len(s.subset), top - 1, p))
     certs.sort(key=lambda c: (len(c.subset), c.subset))
-    return certs, splitting
+    return certs
+
+
+def _triviality(P: PolytopeDual, p: int, certs: list[SummandCertificate]) -> TrivialityCertificate:
+    applicable = p > P.n
+    certified = all(c.certified for c in certs) if applicable else None
+    return TrivialityCertificate(
+        p=p, n=P.n, applicable=applicable, certified=certified, summands=tuple(certs)
+    )
+
+
+def projection_reports(
+    P: PolytopeDual, lam: CharacteristicMatrix, p: int, cap: int | None = None
+) -> tuple[ProjectionReport, TrivialityCertificate]:
+    """``projection_decomposition`` and ``suspension_triviality_check`` at
+    the cost of one, since both are read off the same wedge splitting."""
+    _require_odd_prime(p)
+    require_admissible(P, lam)
+    certs = _certificates(P, p, cap)
+    targets = split(EvenBettiData.from_h_vector(h_vector_of(P)), p)
+    groups: dict[int, list[SummandCertificate]] = {i: [] for i in range(1, p)}
+    for c in certs:
+        groups[c.group].append(c)
+    rep = ProjectionReport(
+        p=p,
+        m=P.m,
+        targets=tuple(targets),
+        groups={i: tuple(v) for i, v in groups.items()},
+    )
+    return rep, _triviality(P, p, certs)
 
 
 def projection_decomposition(
@@ -175,19 +206,7 @@ def projection_decomposition(
     group i receives the subsets with |I| = i mod p-1 and maps to the target
     piece X_i computed from the h-vector Betti numbers.
     """
-    _require_odd_prime(p)
-    require_admissible(P, lam)
-    certs, _ = _certificates(P, p, cap)
-    targets = split(EvenBettiData.from_h_vector(h_vector_of(P)), p)
-    groups: dict[int, list[SummandCertificate]] = {i: [] for i in range(1, p)}
-    for c in certs:
-        groups[c.group].append(c)
-    return ProjectionReport(
-        p=p,
-        m=P.m,
-        targets=tuple(targets),
-        groups={i: tuple(v) for i, v in groups.items()},
-    )
+    return projection_reports(P, lam, p, cap)[0]
 
 
 def suspension_triviality_check(
@@ -205,12 +224,7 @@ def suspension_triviality_check(
     S^5 -> CP^2 is CP^3 and P^1 x = x^3 != 0 in H^6(CP^3; F_3).
     """
     _require_odd_prime(p)
-    certs, _ = _certificates(P, p, cap)
-    applicable = p > P.n
-    certified = all(c.certified for c in certs) if applicable else None
-    return TrivialityCertificate(
-        p=p, n=P.n, applicable=applicable, certified=certified, summands=tuple(certs)
-    )
+    return _triviality(P, p, _certificates(P, p, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,61 @@ def test_projection_command(capsys):
     assert count == 15
 
 
+def test_projection_report_halves_match_the_library(capsys, monkeypatch):
+    from torictop import momentangle, projection_decomposition, suspension_triviality_check
+    from torictop import projection as projection_module
+
+    calls = {"wedge_splitting": 0, "full_subcomplex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in fixtures.quasitoric_names():
+        P, lam = fixtures.load_quasitoric(name)
+        for p in (3, 5, 7):
+            want = {
+                "decomposition": projection_decomposition(P, lam, p).to_json_obj(),
+                "triviality": suspension_triviality_check(P, p).to_json_obj(),
+            }
+            with monkeypatch.context() as patch:
+                patch.setattr(projection_module, "wedge_splitting",
+                              counted("wedge_splitting", projection_module.wedge_splitting))
+                patch.setattr(momentangle, "full_subcomplex",
+                              counted("full_subcomplex", momentangle.full_subcomplex))
+                calls.update(wedge_splitting=0, full_subcomplex=0)
+                got = run_json(capsys, "projection", "--fixture", name, "--p", str(p))
+            assert got["results"] == json.loads(json.dumps(want)), (name, p)
+            # both halves come from one enumeration of the 2^m - 1 summands
+            assert calls == {"wedge_splitting": 1, "full_subcomplex": 2**P.m - 1}, (name, p)
+
+
+def test_projection_error_precedence(capsys, tmp_path):
+    # p is checked first, then lambda, then the enumeration cap
+    bad = tmp_path / "cp2_bad.json"
+    bad.write_text(json.dumps({"polytope": fixtures.load("cp2")["polytope"],
+                               "lambda": [[1, 0, 1], [0, 1, 2]]}))
+    not_p2 = ("p=2 is excluded: the eigenvalue construction needs p-1 >= 2 "
+              "distinct nonzero residues u^1..u^(p-1) mod p")
+    not_admissible = "characteristic matrix fails on face (1, 3) (determinant 2)"
+    cases = [
+        (("--fixture", "cp2", "--p", "2"), not_p2),
+        (("--fixture", "cp2", "--p", "9"), "9 is not an odd prime"),
+        (("--input", str(bad), "--p", "2"), not_p2),
+        (("--input", str(bad), "--p", "9"), "9 is not an odd prime"),
+        (("--input", str(bad), "--p", "3"), not_admissible),
+        (("--input", str(bad), "--p", "5", "--cap", "2"), not_admissible),
+        (("--fixture", "cp2", "--p", "5", "--cap", "2"),
+         "m=3 exceeds the enumeration cap 2; pass a larger cap to override"),
+    ]
+    for argv, message in cases:
+        rc = main(["projection", *argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"torictop: input error: {message}\n"), argv
+
+
 def test_projection_below_n_warns_and_gives_no_verdict(capsys):
     rep = run_json(capsys, "projection", "--fixture", "bott3", "--p", "3")
     assert rep["warnings"]

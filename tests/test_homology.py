@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_reduced_betti, f2_rank, fraction_rank, mod_p_rank, random_complex_faces
 from torictop import (
@@ -9,6 +11,7 @@ from torictop import (
     InputError,
     IntegerMatrix,
     chain_homology,
+    full_subcomplex,
     homology,
     polygon_boundary,
     reduced_homology,
@@ -16,8 +19,8 @@ from torictop import (
     smith_normal_form,
     validate_complex,
 )
-from torictop import linalg
-from torictop.homology import _coeff_kind, merge_torsion
+from torictop import fixtures, linalg
+from torictop.homology import _coeff_kind, boundary_matrices, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -94,6 +97,53 @@ def test_chain_homology_rejects_non_complex():
     d2 = IntegerMatrix.from_rows([[1], [0]])
     with pytest.raises(InputError, match="compose to zero"):
         chain_homology([d1, d2])
+    # d1 has 2 columns, so C_1 has dimension 2, but d2 has 3 rows
+    d2 = IntegerMatrix.from_rows([[0], [0], [0]])
+    with pytest.raises(InputError, match="do not chain"):
+        chain_homology([d1, d2])
+    with pytest.raises(InputError, match="ragged"):
+        chain_homology([IntegerMatrix.from_rows([[1, 0], [0]])])
+
+
+@pytest.mark.parametrize("bad", [2.7, "3", True], ids=repr)
+def test_from_rows_refuses_entries_that_are_not_ints(bad):
+    # int() would truncate 2.7 to 2 and make up a Z/2 in chain_homology
+    with pytest.raises(InputError, match=f"row 1, column 2 is {bad!r}, not an integer"):
+        IntegerMatrix.from_rows([[1, 0, 0], [0, 1, bad]])
+    with pytest.raises(InputError, match="row 0, column 0"):
+        chain_homology([IntegerMatrix.from_rows([[bad]])])
+
+
+def assert_boundaries_compose_to_zero(K):
+    mats, dims = boundary_matrices(K)
+    assert [(d.rows, d.cols) for d in mats] == list(zip(dims, dims[1:]))
+    for a, b in zip(mats, mats[1:]):
+        prod = linalg.matmul_int(a.entries, b.entries, a.cols)
+        assert not any(any(row) for row in prod), K
+
+
+def test_library_boundaries_compose_to_zero():
+    # homology trusts the boundaries it builds itself; this is their check
+    for name in fixtures.names():
+        assert_boundaries_compose_to_zero(fixtures.load_polytope(name).complex)
+    for name in ("polygon6", "cube3"):
+        K = fixtures.load_polytope(name).complex
+        for r in range(1, K.m + 1):
+            for I in itertools.combinations(range(1, K.m + 1), r):
+                assert_boundaries_compose_to_zero(full_subcomplex(K, I))
+
+
+@st.composite
+def complexes(draw):
+    m = draw(st.integers(1, 7))
+    faces = draw(st.lists(st.lists(st.integers(1, m), min_size=1, max_size=5), max_size=6))
+    return validate_complex(faces, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(complexes())
+def test_library_boundaries_compose_to_zero_on_random_complexes(K):
+    assert_boundaries_compose_to_zero(K)
 
 
 def test_projective_plane_homology():

@@ -112,18 +112,20 @@ def test_rejects_prime_two():
 
 
 def test_certificate_soundness_recompute():
-    # dimension certificates: dim K_I <= |I| - 2 and 2|I| < 2i+1
-    for name in ("cp2", "cp1xcp1", "bott3"):
+    # dimension certificates: dim K_I <= |I| - 2 and 2|I| < 2i+1; the face
+    # test and dim K_I, read off the masks of K, match the full subcomplex
+    for name in fixtures.quasitoric_names():
         P, lam = fixtures.load_quasitoric(name)
-        for p in (5, 7):
+        for p in (3, 5, 7):
             rep = projection_decomposition(P, lam, p)
             for c in rep.all_certificates():
+                sub = full_subcomplex(P.complex, c.subset)
+                assert (c.kind == CERT_SIMPLEX) == P.complex.has_face(c.subset)
+                if "dim_K_I" in c.details:
+                    assert c.details["dim_K_I"] == sub.dim
                 if c.kind == CERT_DIMENSION:
-                    sub = full_subcomplex(P.complex, c.subset)
                     assert sub.dim <= len(c.subset) - 2
                     assert 2 * len(c.subset) < 2 * c.group + 1
-                if c.kind == CERT_SIMPLEX:
-                    assert P.complex.has_face(c.subset)
 
 
 def test_squaring_kernel_cp2_inconclusive():
