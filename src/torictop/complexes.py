@@ -94,6 +94,22 @@ class SimplicialComplex:
             lst.sort()
         return out
 
+    def minimal_non_faces(self) -> list[int]:
+        """Masks of the vertex sets that are not faces although every set one
+        vertex smaller is, in increasing order.  A ghost vertex is one.
+
+        Each one is a face plus a vertex above all of the face's vertices, so
+        only those candidates are tested, never all 2^m subsets.
+        """
+        faces = {f for top in self.masks for f in _submasks(top)}
+        out = []
+        for f in faces:
+            for v in range(f.bit_length(), self.m):
+                s = f | 1 << v
+                if s not in faces and all(s & ~(1 << u) in faces for u in range(v) if f >> u & 1):
+                    out.append(s)
+        return sorted(out)
+
     def face_counts(self) -> dict[int, int]:
         return {c: len(lst) for c, lst in self.faces_by_card().items()}
 

@@ -167,22 +167,6 @@ def _face_monomials(k: int, bits: list[int], faces: set[int], mask: int = 0) -> 
     return out
 
 
-def _minimal_non_faces(faces: set[int], m: int) -> list[int]:
-    """Masks of the vertex sets that are not faces although every set one
-    vertex smaller is.
-
-    Each one is a face plus a vertex above all of the face's vertices, so
-    only those candidates are tested, never all 2^m subsets.
-    """
-    out = []
-    for f in faces:
-        for v in range(f.bit_length(), m):
-            s = f | 1 << v
-            if s not in faces and all(s & ~(1 << u) in faces for u in range(v) if f >> u & 1):
-                out.append(s)
-    return sorted(out)
-
-
 def cohomology_ring(
     P: PolytopeDual, lam: CharacteristicMatrix, coeff: str = "Q"
 ) -> CohomologyPresentation:
@@ -223,7 +207,7 @@ def cohomology_ring(
 
     images = []  # (degree, {w-exponent: coefficient}) per minimal non-face
     sigma0_mask = sum(1 << (v - 1) for v in sigma0)
-    for s in _minimal_non_faces(faces, m):
+    for s in K.minimal_non_faces():
         if not s & sigma0_mask:
             continue  # a non-face monomial in w alone
         poly = {(0,) * r: field.one}

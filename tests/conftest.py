@@ -3,8 +3,11 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-The one exception is ``face_ring_cohomology``, the library's previous
-cohomology engine, kept as the differential oracle for ``cohomology_ring``.
+Two exceptions are kept as differential oracles for the engines that
+replaced them: ``face_ring_cohomology``, the library's previous cohomology
+engine, for ``cohomology_ring``; and ``per_subset_wedge_splitting``, the
+previous wedge splitting that builds and reduces every full subcomplex, for
+``wedge_splitting``.
 """
 
 from __future__ import annotations
@@ -14,8 +17,16 @@ import random
 from fractions import Fraction
 
 from torictop import linalg
-from torictop.complexes import PolytopeDual, h_vector_of
-from torictop.errors import ConsistencyError, InputError
+from torictop.complexes import (
+    PolytopeDual,
+    SimplicialComplex,
+    _vertices_of,
+    full_subcomplex,
+    h_vector_of,
+)
+from torictop.errors import CapExceededError, ConsistencyError, InputError
+from torictop.homology import GradedHomology, merge_torsion, reduced_homology
+from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
 from torictop.quasitoric import CharacteristicMatrix, CohomologyPresentation, validate_characteristic
 
 
@@ -390,4 +401,76 @@ def face_ring_cohomology(
         basis=basis,
         mult_h2=mult_h2,
         squaring_cols=squaring_cols,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the per-subset wedge splitting, kept as the oracle for wedge_splitting
+#
+# It builds and reduces every full subcomplex K_I, cones and join summands
+# included.  wedge_splitting must agree with it byte for byte.
+
+
+def per_subset_wedge_splitting(
+    K: SimplicialComplex,
+    coeff: str = "Z",
+    size_filter: set[int] | None = None,
+    cap: int | None = None,
+    keep_trivial: bool = False,
+) -> WedgeSplitting:
+    """Enumerate the wedge summands of the suspended moment-angle complex.
+
+    ``size_filter`` restricts to subsets I with |I| in the given set.  The
+    enumeration refuses to run past the cap (default 16 vertices with exact
+    coefficients, 24 over a finite field) unless ``cap`` overrides it.
+    Summands with vanishing homology are only counted unless
+    ``keep_trivial`` asks for them to be materialized.
+    """
+    limit = _cap_for(coeff, cap)
+    if K.m > limit:
+        raise CapExceededError(
+            f"m={K.m} exceeds the enumeration cap {limit}; pass a larger cap to override"
+        )
+    if size_filter is not None:
+        size_filter = set(size_filter)
+        if any(s < 1 or s > K.m for s in size_filter):
+            raise InputError("size filter values must lie in 1..m")
+
+    summands: list[WedgeSummand] = []
+    trivial = 0
+    total_rank: dict[int, int] = {}
+    total_tors: dict[int, list[int]] = {}
+    for mask in range(1, 1 << K.m):
+        size = mask.bit_count()
+        if size_filter is not None and size not in size_filter:
+            continue
+        sub = full_subcomplex(K, _vertices_of(mask))
+        hom = reduced_homology(sub, coeff)
+        if hom.is_trivial():
+            trivial += 1
+            if not keep_trivial:
+                continue
+        summands.append(
+            WedgeSummand(
+                subset=_vertices_of(mask),
+                homology=hom,
+                contractible=sub.is_cone(),
+            )
+        )
+        for deg, (rank, tors) in hom.groups:
+            d = deg + size + 1
+            total_rank[d] = total_rank.get(d, 0) + rank
+            if tors:
+                total_tors.setdefault(d, []).extend(tors)
+    assembled = {
+        d: (total_rank.get(d, 0), merge_torsion(total_tors.get(d, [])))
+        for d in set(total_rank) | set(total_tors)
+    }
+    summands.sort(key=lambda s: (len(s.subset), s.subset))
+    return WedgeSplitting(
+        m=K.m,
+        coeff=coeff,
+        summands=tuple(summands),
+        trivial_count=trivial,
+        total=GradedHomology.from_dict(coeff, assembled),
     )

@@ -53,6 +53,17 @@ def test_zk_simplex(capsys):
     assert rep["results"]["total"] == [{"degree": 5, "rank": 1, "torsion": []}]
 
 
+def test_zk_refuses_a_bad_tag_when_every_summand_is_a_cone(tmp_path):
+    # a single facet is a simplex: every full subcomplex is a cone, so no
+    # summand reaches the homology kernels, and the tag is still refused
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"m": 3, "facets": [[1, 2, 3]]}))
+    res = run_subprocess("zk", "--input", str(path), "--coeff", "F4")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "'F4'" in res.stderr
+
+
 def test_zk_accepts_bare_complex(capsys, tmp_path):
     path = tmp_path / "cyc.json"
     path.write_text(json.dumps({"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [4, 1]]}))
@@ -118,14 +129,20 @@ def test_projection_command(capsys):
 def test_projection_report_halves_match_the_library(capsys, monkeypatch):
     from torictop import momentangle, projection_decomposition, suspension_triviality_check
     from torictop import projection as projection_module
+    from torictop.complexes import full_subcomplex
 
-    calls = {"wedge_splitting": 0, "full_subcomplex": 0}
+    calls = {"wedge_splitting": 0}
+    built = []
 
-    def counted(name, fn):
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls["wedge_splitting"] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+    def recorded(K, I):
+        built.append(tuple(I))
+        return full_subcomplex(K, I)
 
     for name in fixtures.quasitoric_names():
         P, lam = fixtures.load_quasitoric(name)
@@ -136,14 +153,17 @@ def test_projection_report_halves_match_the_library(capsys, monkeypatch):
             }
             with monkeypatch.context() as patch:
                 patch.setattr(projection_module, "wedge_splitting",
-                              counted("wedge_splitting", projection_module.wedge_splitting))
-                patch.setattr(momentangle, "full_subcomplex",
-                              counted("full_subcomplex", momentangle.full_subcomplex))
-                calls.update(wedge_splitting=0, full_subcomplex=0)
+                              counted(projection_module.wedge_splitting))
+                patch.setattr(momentangle, "full_subcomplex", recorded)
+                calls.update(wedge_splitting=0)
+                built.clear()
                 got = run_json(capsys, "projection", "--fixture", name, "--p", str(p))
             assert got["results"] == json.loads(json.dumps(want)), (name, p)
-            # both halves come from one enumeration of the 2^m - 1 summands
-            assert calls == {"wedge_splitting": 1, "full_subcomplex": 2**P.m - 1}, (name, p)
+            # both halves come from one enumeration of the 2^m - 1 summands,
+            # which builds each full subcomplex at most once and never a cone
+            assert calls == {"wedge_splitting": 1}, (name, p)
+            assert len(built) == len(set(built)), (name, p)
+            assert not any(full_subcomplex(P.complex, I).is_cone() for I in built), (name, p)
 
 
 def test_projection_error_precedence(capsys, tmp_path):

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import face_counts_by_card, h_from_f_polynomial
+from conftest import face_counts_by_card, h_from_f_polynomial, powerset_faces
 from torictop import (
     HVector,
     InputError,
     PolytopeDual,
     dehn_sommerville_report,
+    fixtures,
     f_vector,
     full_subcomplex,
     h_vector,
@@ -91,6 +94,49 @@ def test_full_subcomplex_monotone():
         # indices of I inside the relabeled K_J
         I_in_J = [KJ.labels.index(v) + 1 for v in I]
         assert full_subcomplex(K, I) == full_subcomplex(KJ, I_in_J)
+
+
+def brute_minimal_non_faces(K):
+    """Every vertex subset of K that is no face while all its facets are."""
+    faces = {frozenset(f) for f in powerset_faces(K.maximal_faces)}
+    out = []
+    for mask in range(1 << K.m):
+        I = frozenset(v + 1 for v in range(K.m) if mask >> v & 1)
+        if I not in faces and all(I - {v} in faces for v in I):
+            out.append(mask)
+    return out
+
+
+def test_minimal_non_faces_examples():
+    assert polygon_boundary(4).minimal_non_faces() == [0b0101, 0b1010]
+    assert simplex_boundary(2).minimal_non_faces() == [0b111]
+    # a ghost vertex is a minimal non-face on its own; the full simplex has none
+    assert validate_complex([[1, 2]], 3).minimal_non_faces() == [0b100]
+    assert validate_complex([], 2).minimal_non_faces() == [0b01, 0b10]
+    assert validate_complex([[1, 2, 3]], 3).minimal_non_faces() == []
+
+
+@pytest.mark.parametrize("name", fixtures.names())
+def test_minimal_non_faces_match_brute_force_on_fixtures(name):
+    K = fixtures.load_polytope(name).complex
+    assert K.minimal_non_faces() == brute_minimal_non_faces(K)
+
+
+@st.composite
+def complexes_with_ghosts(draw):
+    m = draw(st.integers(1, 8))
+    ghosts = draw(st.integers(0, min(2, m)))
+    used = m - ghosts
+    faces = []
+    if used:
+        faces = draw(st.lists(st.lists(st.integers(1, used), min_size=1, max_size=5), max_size=6))
+    return validate_complex(faces, m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(complexes_with_ghosts())
+def test_minimal_non_faces_match_brute_force_on_random_complexes(K):
+    assert K.minimal_non_faces() == brute_minimal_non_faces(K)
 
 
 def test_join_is_square():

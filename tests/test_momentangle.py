@@ -1,25 +1,37 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_reduced_betti,
     graded_tensor_unreduced,
+    per_subset_wedge_splitting,
     random_complex_faces,
     reduce_ranks,
     unreduce,
 )
 from torictop import (
     CapExceededError,
+    GradedHomology,
     InputError,
+    fixtures,
+    full_subcomplex,
     join,
     moment_angle_homology,
     polygon_boundary,
+    reduced_homology,
     simplex_boundary,
     validate_complex,
     wedge_splitting,
 )
+from torictop.momentangle import _join_homology
+
+RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
+             [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
 
 
 def hochster_oracle(K):
@@ -153,9 +165,7 @@ def test_degree_bound():
 
 def test_torsion_is_merged_into_divisibility_chains():
     # two disjoint projective-plane style summands force a torsion merge
-    rp2 = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
-           [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
-    K = validate_complex(rp2, 6)
+    K = validate_complex(RP2_FACES, 6)
     h = moment_angle_homology(K)
     for d in h.degrees():
         tors = h.torsion(d)
@@ -163,3 +173,100 @@ def test_torsion_is_merged_into_divisibility_chains():
     # the full subset contributes the projective-plane torsion class
     assert h.torsion(K.m + 1 + 1) == (2,)
 
+
+
+def assert_matches_per_subset_path(K, coeff, **kwargs):
+    """Same report bytes as the per-subset oracle, and every emitted
+    summand's contractible flag is the cone test of its full subcomplex."""
+    got = wedge_splitting(K, coeff, **kwargs)
+    want = per_subset_wedge_splitting(K, coeff, **kwargs)
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+    for s in got.summands:
+        assert s.contractible == full_subcomplex(K, s.subset).is_cone()
+
+
+@pytest.mark.parametrize("name", fixtures.names())
+def test_wedge_splitting_matches_the_per_subset_path_on_fixtures(name):
+    K = fixtures.load_polytope(name).complex
+    for coeff in ("Z", "Q", "F2", "F3", "F5"):
+        for keep_trivial in (False, True):
+            for sizes in (None, {2, K.m}):
+                assert_matches_per_subset_path(K, coeff, size_filter=sizes,
+                                               keep_trivial=keep_trivial)
+
+
+@st.composite
+def small_complexes(draw, max_m):
+    m = draw(st.integers(1, max_m))
+    faces = draw(st.lists(st.lists(st.integers(1, m), min_size=1, max_size=4), max_size=6))
+    return validate_complex(faces, m)
+
+
+@st.composite
+def random_joins(draw):
+    first = draw(small_complexes(5))
+    second = draw(small_complexes(9 - first.m))
+    K = join(first, second)
+    if K.m < 9 and draw(st.booleans()):
+        K = join(K, draw(small_complexes(9 - K.m)))
+    return K
+
+
+SPLITTING_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                                     database=None)
+
+
+@SPLITTING_ORACLE_SETTINGS
+@given(small_complexes(9), st.sampled_from(["Z", "Q", "F2", "F3"]), st.booleans())
+def test_wedge_splitting_matches_the_per_subset_path_on_random_complexes(K, coeff, keep):
+    assert_matches_per_subset_path(K, coeff, keep_trivial=keep)
+
+
+@SPLITTING_ORACLE_SETTINGS
+@given(random_joins(), st.sampled_from(["Z", "Q", "F2", "F3"]), st.booleans())
+def test_wedge_splitting_matches_the_per_subset_path_on_random_joins(K, coeff, keep):
+    assert_matches_per_subset_path(K, coeff, keep_trivial=keep)
+
+
+def test_join_kuenneth_keeps_the_tor_term():
+    rp2 = validate_complex(RP2_FACES, 6)
+    s0 = validate_complex([[1], [2]], 2)
+    for A, B in ((rp2, s0), (s0, rp2), (rp2, rp2)):
+        K = join(A, B)
+        whole = [s for s in wedge_splitting(K, "Z").summands if len(s.subset) == K.m]
+        assert [s.homology for s in whole] == [reduced_homology(K, "Z")]
+    # RP2 * RP2: Z/2 (x) Z/2 in degree 3, and Tor(Z/2, Z/2) one degree up
+    assert reduced_homology(join(rp2, rp2), "Z").as_dict() == {3: (0, (2,)), 4: (0, (2,))}
+    assert_matches_per_subset_path(join(rp2, s0), "Z", keep_trivial=True)
+
+
+def test_join_homology_formula():
+    A = GradedHomology.from_dict("Z", {1: (1, (4,))})
+    B = GradedHomology.from_dict("Z", {0: (0, (6,))})
+    # Z (x) Z/6 = Z/6 and Z/4 (x) Z/6 = Z/2 in degree 2; Tor(Z/4, Z/6) = Z/2 in degree 3
+    assert _join_homology(A, B).as_dict() == {2: (0, (2, 6)), 3: (0, (2,))}
+    empty = GradedHomology.from_dict("Z", {-1: (1, ())})
+    assert _join_homology(empty, A) == A
+    # Z/2 and Z/3 pieces join to an acyclic complex
+    two = GradedHomology.from_dict("Z", {1: (0, (2,))})
+    three = GradedHomology.from_dict("Z", {1: (0, (3,))})
+    assert _join_homology(two, three).is_trivial()
+
+
+def test_product_of_four_simplex_boundaries_over_z():
+    """m = 13: Z_K = S^5 x S^5 x S^5 x S^7, whose nonzero summands are the
+    unions of whole join factors."""
+    K = join(join(join(simplex_boundary(2), simplex_boundary(2)), simplex_boundary(2)),
+             simplex_boundary(3))
+    sp = wedge_splitting(K, "Z")
+    want: dict[int, int] = {}
+    for picks in itertools.product((0, 1), repeat=4):
+        d = sum(p * s for p, s in zip(picks, (5, 5, 5, 7)))
+        if d:
+            want[d] = want.get(d, 0) + 1
+    assert sp.total.as_dict() == {d: (r, ()) for d, r in want.items()}
+    blocks = [set(range(1, 4)), set(range(4, 7)), set(range(7, 10)), set(range(10, 14))]
+    unions = {tuple(sorted(set().union(*c))) for r in range(1, 5)
+              for c in itertools.combinations(blocks, r)}
+    assert {s.subset for s in sp.summands} == unions
+    assert sp.trivial_count == 2**13 - 1 - 15
