@@ -19,34 +19,19 @@ Reports are deterministic byte-for-byte for fixed inputs and version.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
-from . import __version__, fixtures
-from .complexes import (
-    PolytopeDual,
-    dehn_sommerville_report,
-    f_vector,
-    h_vector,
-    h_vector_of,
-    validate_complex,
-)
+from . import __version__
 from .errors import ConsistencyError, InputError
-from .momentangle import _cap_for, wedge_splitting
-from .projection import (
-    cube_census,
-    p_local_note,
-    projection_reports,
-    squaring_kernel,
-    two_simplices_check,
-)
-from .quasitoric import cohomology_ring, generalized_bott, require_admissible
-from .splitting import EvenBettiData, is_primitive_root, sphere_wedge_decomposition, split
+
+# Each handler imports the modules it runs when it runs, so that a call pays
+# at start-up only for its own subcommand.
 
 
 def _read_input(args) -> tuple[dict, bytes]:
     if getattr(args, "fixture", None):
+        from . import fixtures
         data = fixtures.raw(args.fixture)
     elif getattr(args, "input", None):
         try:
@@ -63,7 +48,8 @@ def _read_input(args) -> tuple[dict, bytes]:
     return obj, data
 
 
-def _polytope_of(obj: dict) -> PolytopeDual:
+def _polytope_of(obj: dict):
+    from . import fixtures
     if "polytope" in obj:
         return fixtures.polytope_from_json(obj["polytope"])
     if "n" in obj and "complex" in obj:
@@ -74,10 +60,12 @@ def _polytope_of(obj: dict) -> PolytopeDual:
 def _quasitoric_of(obj: dict):
     if "polytope" not in obj or "lambda" not in obj:
         raise InputError("expected a quasitoric object with keys 'polytope' and 'lambda'")
+    from . import fixtures
     return fixtures.quasitoric_from_json(obj)
 
 
 def _complex_of(obj: dict):
+    from .complexes import validate_complex
     if "facets" in obj and "m" in obj:
         return validate_complex(obj["facets"], obj["m"])
     if "complex" in obj:
@@ -91,6 +79,7 @@ def _complex_of(obj: dict):
 
 
 def _report(command: str, params: dict, digest_bytes: bytes, results, warnings=()) -> dict:
+    import hashlib
     return {
         "command": command,
         "parameters": params,
@@ -141,6 +130,7 @@ def _flatten(prefix: str, obj) -> list[str]:
 
 
 def _cmd_hvec(args) -> dict:
+    from .complexes import dehn_sommerville_report, f_vector, h_vector
     obj, data = _read_input(args)
     P = _polytope_of(obj)
     f = f_vector(P)
@@ -161,6 +151,7 @@ def _cmd_hvec(args) -> dict:
 
 
 def _cmd_zk(args) -> dict:
+    from .momentangle import _cap_for, wedge_splitting
     obj, data = _read_input(args)
     K = _complex_of(obj)
     sizes = None
@@ -184,6 +175,7 @@ def _cmd_zk(args) -> dict:
 
 
 def _cmd_qtm(args) -> dict:
+    from .quasitoric import cohomology_ring
     obj, data = _read_input(args)
     P, lam = _quasitoric_of(obj)
     pres = cohomology_ring(P, lam, args.coeff)
@@ -191,6 +183,9 @@ def _cmd_qtm(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
+    from .complexes import h_vector_of
+    from .quasitoric import require_admissible
+    from .splitting import EvenBettiData, is_primitive_root, sphere_wedge_decomposition, split
     obj, data = _read_input(args)
     warnings = []
     if "b" in obj:
@@ -225,6 +220,7 @@ def _cmd_split(args) -> dict:
 
 
 def _cmd_projection(args) -> dict:
+    from .projection import projection_reports
     obj, data = _read_input(args)
     P, lam = _quasitoric_of(obj)
     rep, triv = projection_reports(P, lam, args.p, cap=args.cap)
@@ -242,6 +238,8 @@ def _cmd_projection(args) -> dict:
 
 
 def _cmd_nontrivial(args) -> dict:
+    from .projection import p_local_note, squaring_kernel, two_simplices_check
+    from .quasitoric import cohomology_ring
     if args.two_simplices:
         n, k = args.two_simplices
         verdict = two_simplices_check(n, k)
@@ -261,11 +259,14 @@ def _cmd_nontrivial(args) -> dict:
 
 
 def _cmd_cube_census(args) -> dict:
+    from .projection import cube_census
     census = cube_census()
     return _report("cube-census", {}, b"", census.to_json_obj())
 
 
 def _cmd_bott(args) -> dict:
+    from .complexes import h_vector_of
+    from .quasitoric import generalized_bott
     obj, data = _read_input(args)
     if "dims" not in obj:
         raise InputError("expected a tower object with key 'dims' (and optional 'params')")
@@ -280,13 +281,14 @@ def _cmd_bott(args) -> dict:
 
 
 def _cmd_fixtures(args) -> dict:
+    from . import fixtures
     if args.name:
         obj = fixtures.load(args.name)
         return _report("fixtures", {"name": args.name}, fixtures.raw(args.name), obj)
-    listing = [
-        {"name": n, "kind": fixtures.load(n)["kind"], "description": fixtures.load(n)["description"]}
-        for n in fixtures.names()
-    ]
+    listing = []
+    for n in fixtures.names():
+        obj = fixtures.load(n)
+        listing.append({"name": n, "kind": obj["kind"], "description": obj["description"]})
     return _report("fixtures", {}, b"", {"available": listing})
 
 

@@ -13,8 +13,8 @@ vertices matter for full subcomplexes and are preserved by them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import _Field, _frozen
 from .errors import InputError
 
 MAX_VERTICES = 63
@@ -52,7 +52,7 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimplicialComplex:
     """Finite abstract simplicial complex on vertices 1..m.
 
@@ -63,7 +63,7 @@ class SimplicialComplex:
 
     m: int
     masks: tuple[int, ...]
-    labels: tuple[int, ...] | None = field(default=None, compare=False)
+    labels: tuple[int, ...] | None = _Field(default=None, compare=False)
 
     @property
     def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +182,7 @@ def full_subcomplex(K: SimplicialComplex, I) -> SimplicialComplex:
         for v in _vertices_of(f):
             out |= 1 << positions[v]
         return out
-    return SimplicialComplex(m=len(I), masks=tuple(sorted(compress(f) for f in masks)), labels=I)
+    return SimplicialComplex(len(I), tuple(sorted(compress(f) for f in masks)), I)
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
@@ -202,7 +202,7 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(m=m, masks=tuple(masks))
 
 
-@dataclass(frozen=True)
+@_frozen
 class PolytopeDual:
     """A simple n-polytope presented by its dual boundary complex.
 
@@ -254,7 +254,7 @@ class PolytopeDual:
         return {"n": self.n, "complex": self.complex.to_json_obj()}
 
 
-@dataclass(frozen=True)
+@_frozen
 class FVector:
     """Face numbers f_{-1}..f_{n-1} of a simple polytope.
 
@@ -270,7 +270,7 @@ class FVector:
         return self.entries[i + 1]
 
 
-@dataclass(frozen=True)
+@_frozen
 class HVector:
     entries: tuple[int, ...]
 
@@ -308,7 +308,7 @@ def h_vector_of(P: PolytopeDual) -> HVector:
     return h_vector(f_vector(P), P.n)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DehnSommervilleReport:
     symmetric: bool
     asymmetric_indices: tuple[int, ...]

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .complexes import PolytopeDual, validate_complex
 from .errors import InputError
-from .quasitoric import CharacteristicMatrix
 
 
 def _package_files():
+    from importlib import resources  # only reading a bundled fixture needs it
     return resources.files(__package__) / "fixtures"
 
 
@@ -43,7 +42,9 @@ def polytope_from_json(obj: dict) -> PolytopeDual:
         raise InputError(f"polytope object is missing key {e}")
 
 
-def quasitoric_from_json(obj: dict) -> tuple[PolytopeDual, CharacteristicMatrix]:
+def quasitoric_from_json(obj: dict):
+    """(PolytopeDual, CharacteristicMatrix) of a quasitoric object."""
+    from .quasitoric import CharacteristicMatrix
     try:
         P = polytope_from_json(obj["polytope"])
         lam = CharacteristicMatrix.from_rows(obj["lambda"])
@@ -53,13 +54,11 @@ def quasitoric_from_json(obj: dict) -> tuple[PolytopeDual, CharacteristicMatrix]
 
 
 def load_polytope(name: str) -> PolytopeDual:
-    obj = load(name)
-    if obj.get("kind") == "quasitoric":
-        return polytope_from_json(obj["polytope"])
-    return polytope_from_json(obj["polytope"])
+    return polytope_from_json(load(name)["polytope"])
 
 
-def load_quasitoric(name: str) -> tuple[PolytopeDual, CharacteristicMatrix]:
+def load_quasitoric(name: str):
+    """(PolytopeDual, CharacteristicMatrix) of a quasitoric fixture."""
     obj = load(name)
     if obj.get("kind") != "quasitoric":
         raise InputError(f"fixture {name!r} has no characteristic matrix")

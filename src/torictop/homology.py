@@ -16,14 +16,13 @@ test suite checks that they compose to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
+from ._record import _frozen
 from .complexes import SimplicialComplex
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntegerMatrix:
     """Dense integer matrix; entries are arbitrary-precision ints."""
 
@@ -54,7 +53,7 @@ class IntegerMatrix:
         return [list(r) for r in self.entries]
 
 
-@dataclass(frozen=True)
+@_frozen
 class SNFResult:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
@@ -147,7 +146,7 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
         t += 1
         if t == rows or t == cols:
             break
-    return SNFResult(diagonal=tuple(diag))
+    return SNFResult(tuple(diag))
 
 
 def merge_torsion(parts: list[int]) -> tuple[int, ...]:
@@ -186,7 +185,7 @@ def merge_torsion(parts: list[int]) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-@dataclass(frozen=True)
+@_frozen
 class GradedHomology:
     """Map degree -> (free rank, torsion coefficients), plus a coefficient tag.
 
@@ -204,7 +203,7 @@ class GradedHomology:
             for deg, (rank, tors) in sorted(d.items())
             if rank or tors
         )
-        return cls(coeff=coeff, groups=items)
+        return cls(coeff, items)
 
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return {deg: val for deg, val in self.groups}

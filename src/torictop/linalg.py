@@ -9,8 +9,6 @@ standard library.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 
 
@@ -207,14 +205,11 @@ class PrimeField:
 
 
 class RationalField:
-    """Arithmetic in Q via Fraction."""
+    """Arithmetic in Q via Fraction, imported here since only Q needs it."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(a: int) -> Fraction:
-        return Fraction(a)
+    def __init__(self):
+        from fractions import Fraction
+        self.zero, self.one, self.from_int = Fraction(0), Fraction(1), Fraction
 
     @staticmethod
     def add(a, b):
@@ -232,9 +227,8 @@ class RationalField:
     def neg(a):
         return -a
 
-    @staticmethod
-    def inv(a):
-        return Fraction(1) / a
+    def inv(self, a):
+        return self.one / a
 
     @staticmethod
     def is_zero(a) -> bool:

@@ -23,8 +23,8 @@ kept.  No cell structure on Z_K itself is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import _frozen
 from .complexes import SimplicialComplex, _vertices_of, full_subcomplex
 from .errors import CapExceededError, InputError
 from .homology import GradedHomology, _coeff_kind, merge_torsion, reduced_homology
@@ -33,7 +33,7 @@ DEFAULT_CAP_FIELD = 24
 DEFAULT_CAP_EXACT = 16
 
 
-@dataclass(frozen=True)
+@_frozen
 class WedgeSummand:
     """One wedge piece: the full subcomplex on I, suspended |I|+2 times.
 
@@ -61,7 +61,7 @@ class WedgeSummand:
         }
 
 
-@dataclass(frozen=True)
+@_frozen
 class WedgeSplitting:
     """All nonzero summands plus the assembled homology of Z_K."""
 
@@ -220,7 +220,7 @@ def wedge_splitting(
             trivial += 1
             if not keep_trivial:
                 continue
-        summands.append(WedgeSummand(subset=_vertices_of(mask), homology=hom, contractible=cone))
+        summands.append(WedgeSummand(_vertices_of(mask), hom, cone))
         for deg, (rank, tors) in hom.groups:
             d = deg + size + 1
             total_rank[d] = total_rank.get(d, 0) + rank

@@ -22,9 +22,8 @@ else reports "inconclusive".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
+from ._record import _Field, _frozen
 from .complexes import PolytopeDual, h_vector_of
 from .errors import InputError
 from .momentangle import wedge_splitting
@@ -49,12 +48,12 @@ CERT_VANISHING = "vanishing-range"
 CERT_NONE = "uncertified"
 
 
-@dataclass(frozen=True)
+@_frozen
 class SummandCertificate:
     subset: tuple[int, ...]
     group: int
     kind: str
-    details: dict = field(compare=False, default_factory=dict)
+    details: dict = _Field(compare=False, default_factory=dict)
 
     @property
     def certified(self) -> bool:
@@ -69,7 +68,7 @@ class SummandCertificate:
         }
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProjectionReport:
     p: int
     m: int
@@ -93,7 +92,7 @@ class ProjectionReport:
         }
 
 
-@dataclass(frozen=True)
+@_frozen
 class TrivialityCertificate:
     p: int
     n: int
@@ -231,7 +230,7 @@ def suspension_triviality_check(
 # non-triviality criteria
 
 
-@dataclass(frozen=True)
+@_frozen
 class NontrivialityVerdict:
     criterion: str
     applicable: bool
@@ -360,7 +359,7 @@ def two_simplices_check(n: int, k: int) -> NontrivialityVerdict:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class CubeCensusEntry:
     params: tuple[int, int, int, int, int, int]
     valid: bool
@@ -370,7 +369,7 @@ class CubeCensusEntry:
         return {"params": list(self.params), "valid": self.valid, "witness": self.witness}
 
 
-@dataclass(frozen=True)
+@_frozen
 class CubeCensus:
     total: int
     valid_count: int

@@ -20,15 +20,13 @@ first, so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import linalg
+from ._record import _frozen
 from .complexes import PolytopeDual, h_vector_of, join, simplex_boundary
 from .errors import ConsistencyError, InputError
 
 
-@dataclass(frozen=True)
+@_frozen
 class CharacteristicMatrix:
     n: int
     m: int
@@ -51,7 +49,7 @@ class CharacteristicMatrix:
         return [list(r) for r in self.rows]
 
 
-@dataclass(frozen=True)
+@_frozen
 class ValidityReport:
     valid: bool
     failing_face: tuple[int, ...] | None = None
@@ -85,7 +83,7 @@ def require_admissible(P: PolytopeDual, lam: CharacteristicMatrix) -> None:
 # cohomology of the quotient
 
 
-@dataclass(frozen=True)
+@_frozen
 class CohomologyPresentation:
     """Field cohomology of a quasitoric manifold, degree by degree.
 
@@ -128,10 +126,8 @@ class CohomologyPresentation:
         return out
 
     def to_json_obj(self) -> dict:
-        def ser(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
+        def ser(x):  # F_p entries are ints; Q entries are Fractions, written as strings
+            return x if isinstance(x, int) else str(x)
 
         obj = {
             "coeff": self.coeff,
@@ -354,7 +350,7 @@ def generalized_bott(dims, params=None) -> tuple[PolytopeDual, CharacteristicMat
 # small quadratic presentations over F2
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuadraticPresentationF2:
     """Symbolic mod-2 presentation for the two low-dimensional families.
 

@@ -19,8 +19,7 @@ statement: two manifolds over the same polytope get identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _frozen
 from .complexes import HVector
 from .errors import InputError
 from .homology import GradedHomology
@@ -96,7 +95,7 @@ def eigen_scalar(p: int, u: int, i: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@_frozen
 class EvenBettiData:
     """Betti numbers b_0..b_{n_top} of the even-degree homology."""
 
@@ -114,7 +113,7 @@ class EvenBettiData:
         return cls(n_top=h.n, b=tuple(h.entries))
 
 
-@dataclass(frozen=True)
+@_frozen
 class SplitSummand:
     """Homology data of the i-th wedge piece of the suspended space.
 

@@ -359,14 +359,92 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_names_resolve_and_homology_is_the_submodule():
+    import torictop
+    import torictop.homology as homology_module
+
+    for name in torictop.__all__:
+        assert getattr(torictop, name).__name__ == name
+    from torictop import homology
+
+    assert homology is homology_module is torictop.homology
+    assert {"homology", "linalg", "fixtures"} <= set(dir(torictop))
+    with pytest.raises(AttributeError):
+        torictop.no_such_name
+
+
+# Runs one CLI call and writes to stderr, as its last line, the modules the
+# call loaded beyond those the interpreter had loaded at start-up.
+LOADED_BY_ONE_CALL = """
+import sys
+before = set(sys.modules)
+from torictop.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def modules_loaded_by(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY_ONE_CALL, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_version_loads_no_compute_module():
+    loaded = modules_loaded_by("--version")
+    assert {m for m in loaded if m.startswith("torictop")} <= {
+        "torictop", "torictop.cli", "torictop.errors"}
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_zk_over_z_loads_only_what_it_runs(tmp_path):
+    path = tmp_path / "simplex2.json"
+    path.write_bytes(fixtures.raw("simplex2"))
+    loaded = modules_loaded_by("zk", "--coeff", "Z", "--input", str(path))
+    assert "torictop.momentangle" in loaded
+    assert not loaded & {"fractions", "torictop.projection", "torictop.quasitoric",
+                         "torictop.splitting", "importlib.resources"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hvec", "--fixture", "polygon6"],
+        ["zk", "--fixture", "simplex2", "--coeff", "Q"],
+        ["qtm", "--fixture", "cp2", "--coeff", "Q"],
+        ["split", "--fixture", "cp2", "--p", "3"],
+        ["projection", "--fixture", "cp2", "--p", "3"],
+        ["nontrivial", "--fixture", "cp2"],
+        ["cube-census"],
+        ["bott", "--input", "TOWER"],
+        ["fixtures"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_subcommand_loads_dataclasses(argv, tmp_path):
+    tower = tmp_path / "tower.json"
+    tower.write_text('{"dims": [1, 2]}')
+    argv = [str(tower) if a == "TOWER" else a for a in argv]
+    assert "dataclasses" not in modules_loaded_by(*argv)
+
+
 def test_exit_code_3_on_consistency_failure(capsys, monkeypatch):
-    # a theorem violation cannot be triggered by honest input, so simulate one
-    import torictop.cli as cli
+    # a theorem violation cannot be triggered by honest input, so simulate one;
+    # the qtm handler imports cohomology_ring from quasitoric when it runs
+    import torictop.quasitoric as quasitoric
 
     def boom(*a, **k):
         raise ConsistencyError("simulated")
 
-    monkeypatch.setattr(cli, "cohomology_ring", boom)
+    monkeypatch.setattr(quasitoric, "cohomology_ring", boom)
     rc = main(["qtm", "--fixture", "cp2"])
     err = capsys.readouterr().err
     assert rc == 3 and "consistency" in err

@@ -12,7 +12,6 @@ from torictop import (
     IntegerMatrix,
     chain_homology,
     full_subcomplex,
-    homology,
     polygon_boundary,
     reduced_homology,
     simplex_boundary,
@@ -20,7 +19,7 @@ from torictop import (
     validate_complex,
 )
 from torictop import fixtures, linalg
-from torictop.homology import _coeff_kind, boundary_matrices, merge_torsion
+from torictop.homology import _coeff_kind, boundary_matrices, homology, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]

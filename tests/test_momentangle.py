@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -212,8 +212,10 @@ def random_joins(draw):
     return K
 
 
+# No shrink phase: shrinking a failure of these oracles takes minutes, and the
+# failing example is small enough to read as generated.
 SPLITTING_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
-                                     database=None)
+                                     database=None, phases=(Phase.explicit, Phase.generate))
 
 
 @SPLITTING_ORACLE_SETTINGS
