@@ -10,7 +10,6 @@ Run:  python demos/quasitoric_rings.py
 from torictop import (
     CharacteristicMatrix,
     cohomology_ring,
-    cube_parameters,
     generalized_bott,
     h_vector_of,
     polygon_polytope,
@@ -44,10 +43,9 @@ print("== a twisted tower over the 3-cube ==")
 P3, lam3 = generalized_bott([1, 1, 1], [[], [[1]], [[1], [1]]])
 pres3 = cohomology_ring(P3, lam3, "F2")
 print("  dims:", pres3.dims_even())
-cube = cube_parameters(P3, lam3)
-print("  quadratic presentation parameters (a..f):", cube.params)
-print("  admissible presentation:", cube.valid)
-print("  towers only twist later stages over earlier ones, so a=b=d=0 here")
+print("  squaring H^2 -> H^4:", pres3.squaring_cols)
+verdict = squaring_kernel(pres3)
+print("  kernel verdict:", verdict.conclusion, verdict.witness)
 
 print()
 print("== an invalid matrix is caught by an exact determinant ==")

@@ -34,9 +34,8 @@ _EXPORTS = {
         "two_simplices_check",
     ),
     "quasitoric": (
-        "CharacteristicMatrix", "CohomologyPresentation", "QuadraticPresentationF2",
-        "cohomology_ring", "cube_parameters", "cube_presentation", "generalized_bott",
-        "power_map_scalars", "product_presentation", "validate_characteristic",
+        "CharacteristicMatrix", "CohomologyPresentation", "cohomology_ring", "generalized_bott",
+        "power_map_scalars", "validate_characteristic",
     ),
     "splitting": (
         "EvenBettiData", "SplitSummand", "eigen_scalar", "is_primitive_root", "primitive_root",

@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, require_ints
 
 # Each handler imports the modules it runs when it runs, so that a call pays
 # at start-up only for its own subcommand.
@@ -45,6 +45,8 @@ def _read_input(args) -> tuple[dict, bytes]:
         obj = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputError(f"input is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise InputError("input must be a JSON object")
     return obj, data
 
 
@@ -70,10 +72,12 @@ def _complex_of(obj: dict):
         return validate_complex(obj["facets"], obj["m"])
     if "complex" in obj:
         inner = obj["complex"]
-        if "facets" not in inner or "m" not in inner:
+        if not isinstance(inner, dict) or "facets" not in inner or "m" not in inner:
             raise InputError("nested complex object needs keys 'm' and 'facets'")
         return validate_complex(inner["facets"], inner["m"])
     if "polytope" in obj:
+        if not isinstance(obj["polytope"], dict):
+            raise InputError("'polytope' must be a JSON object")
         return _complex_of(obj["polytope"])
     raise InputError("expected a complex object with keys 'm' and 'facets'")
 
@@ -189,7 +193,8 @@ def _cmd_split(args) -> dict:
     obj, data = _read_input(args)
     warnings = []
     if "b" in obj:
-        b = EvenBettiData(n_top=len(obj["b"]) - 1, b=tuple(int(x) for x in obj["b"]))
+        betti = require_ints(obj["b"], "'b'")
+        b = EvenBettiData(n_top=len(betti) - 1, b=betti)
     else:
         if "lambda" in obj:
             P, lam = _quasitoric_of(obj)

@@ -145,6 +145,8 @@ def validate_complex(raw, m: int) -> SimplicialComplex:
         raise InputError("vertex count m must be a nonnegative integer")
     if m > MAX_VERTICES:
         raise InputError(f"m={m} exceeds the bitmask limit of {MAX_VERTICES} vertices")
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(f, (list, tuple)) for f in raw):
+        raise InputError("facets must be a list of vertex lists")
     faces = [_mask_of(f, m) for f in raw]
     if not faces and m == 0:
         raise InputError("empty face list with m=0 does not define a complex")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .complexes import PolytopeDual, validate_complex
-from .errors import InputError
+from .errors import InputError, require_int
 
 
 def _package_files():
@@ -34,10 +34,12 @@ def load(name: str) -> dict:
 
 
 def polytope_from_json(obj: dict) -> PolytopeDual:
+    if not isinstance(obj, dict) or not isinstance(obj.get("complex", {}), dict):
+        raise InputError("a polytope and its 'complex' must be JSON objects")
     try:
         comp = obj["complex"]
         K = validate_complex(comp["facets"], comp["m"])
-        return PolytopeDual(n=obj["n"], complex=K)
+        return PolytopeDual(n=require_int(obj["n"], "polytope 'n'"), complex=K)
     except KeyError as e:
         raise InputError(f"polytope object is missing key {e}")
 
@@ -63,10 +65,6 @@ def load_quasitoric(name: str):
     if obj.get("kind") != "quasitoric":
         raise InputError(f"fixture {name!r} has no characteristic matrix")
     return quasitoric_from_json(obj)
-
-
-def polytope_names() -> list[str]:
-    return [n for n in names() if load(n).get("kind") == "polytope"]
 
 
 def quasitoric_names() -> list[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import linalg
 from ._record import _frozen
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import InputError, require_int
 
 
 @_frozen
@@ -39,8 +39,7 @@ class IntegerMatrix:
             if len(row) != c:
                 raise InputError("ragged matrix")
             for j, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"matrix entry at row {i}, column {j} is {x!r}, not an integer")
+                require_int(x, f"matrix entry at row {i}, column {j}")
         if cols is not None and cols != c:
             raise InputError("column count mismatch")
         return cls(rows=r, cols=c, entries=tuple(map(tuple, rows)))

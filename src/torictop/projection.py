@@ -27,13 +27,7 @@ from ._record import _Field, _frozen
 from .complexes import PolytopeDual, h_vector_of
 from .errors import InputError
 from .momentangle import wedge_splitting
-from .quasitoric import (
-    CharacteristicMatrix,
-    CohomologyPresentation,
-    QuadraticPresentationF2,
-    cube_presentation,
-    require_admissible,
-)
+from .quasitoric import CharacteristicMatrix, CohomologyPresentation, require_admissible
 from .splitting import (
     EvenBettiData,
     SplitSummand,
@@ -248,24 +242,23 @@ class NontrivialityVerdict:
         }
 
 
-def squaring_kernel(pres) -> NontrivialityVerdict:
+def squaring_kernel(pres: CohomologyPresentation) -> NontrivialityVerdict:
     """Look for a nonzero degree-2 class with vanishing square mod 2.
 
     Such a class forces the stabilized quotient map to be essential.  The
     squaring map is additive in characteristic 2, so this is a kernel
     computation; the returned witness re-validates by construction.
     """
-    if isinstance(pres, CohomologyPresentation) and pres.coeff != "F2":
+    if pres.coeff != "F2":
         raise InputError("squaring kernel needs an F2 presentation")
-    matrix = pres.squaring_matrix()
-    if isinstance(pres, QuadraticPresentationF2):
-        h2 = pres.h2_dim
-        names = list(pres.h2_names)
-    else:
-        h2 = pres.dim(2)
-        names = pres.h2_labels()
-    f2 = linalg.PrimeField(2)
-    kernel = linalg.kernel_basis(matrix, h2, f2)
+    return _square_zero_class(pres.squaring_matrix(), pres.h2_labels())
+
+
+def _square_zero_class(matrix, names) -> NontrivialityVerdict:
+    """The squaring-kernel verdict for a squaring map given by its rows over
+    the degree-4 basis, one column per degree-2 generator in ``names``."""
+    h2 = len(names)
+    kernel = linalg.kernel_basis(matrix, h2, linalg.PrimeField(2))
     if not kernel:
         return NontrivialityVerdict(
             criterion="square-zero-class",
@@ -279,7 +272,7 @@ def squaring_kernel(pres) -> NontrivialityVerdict:
     assert not any(image), "witness must square to zero"
     witness = {
         "coefficients": list(vec),
-        "generators": names,
+        "generators": list(names),
         "kernel_dimension": len(kernel),
     }
     return NontrivialityVerdict(
@@ -386,27 +379,33 @@ class CubeCensus:
 
 
 def cube_census() -> CubeCensus:
-    """Exhaust all 64 quadratic presentations over the 3-cube.
+    """Exhaust all 64 mod-2 parameter tuples (a, b, c, d, e, f) over the 3-cube.
 
-    For every admissible parameter tuple the squaring kernel must produce a
-    witness; an admissible tuple without one would contradict the theorem,
-    so the census raising is a bug detector, not a data condition.
+    A tuple stands for F2[x,y,z] / (x^2+x(ay+bz), y^2+y(cx+dz), z^2+z(ex+fy)).
+    It is valid when ac = df = be = 0 and [[1,c,e],[a,1,f],[b,d,1]] has
+    determinant 1 over F2: the mod-2 shadows of the unimodular principal
+    minors of a characteristic matrix in refined form.  For every valid tuple
+    the squaring kernel must produce a witness; a valid tuple without one
+    would contradict the theorem, so the census raising is a bug detector,
+    not a data condition.
     """
     entries = []
     uncertified = []
     valid_count = 0
     for code in range(64):
-        bits = tuple((code >> t) & 1 for t in range(6))
-        pres = cube_presentation(*bits)
+        a, b, c, d, e, f = bits = tuple((code >> t) & 1 for t in range(6))
+        det = (1 + f * d + c * a + c * f * b + e * a * d + e * b) % 2
+        valid = a * c == 0 and d * f == 0 and b * e == 0 and det == 1
         witness = None
-        if pres.valid:
+        if valid:
             valid_count += 1
-            verdict = squaring_kernel(pres)
+            # the squares of x, y, z over the degree-4 basis xy, xz, yz
+            verdict = _square_zero_class([[a, c, 0], [b, 0, e], [0, d, f]], ("x", "y", "z"))
             if verdict.conclusion == "not-null":
                 witness = verdict.witness
             else:
                 uncertified.append(bits)
-        entries.append(CubeCensusEntry(params=bits, valid=pres.valid, witness=witness))
+        entries.append(CubeCensusEntry(params=bits, valid=valid, witness=witness))
     return CubeCensus(
         total=64,
         valid_count=valid_count,

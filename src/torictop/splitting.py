@@ -103,8 +103,8 @@ class EvenBettiData:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.b) != self.n_top + 1:
-            raise InputError("need exactly n_top + 1 Betti numbers")
+        if self.n_top < 0 or len(self.b) != self.n_top + 1:
+            raise InputError("need n_top >= 0 and exactly n_top + 1 Betti numbers")
         if any(x < 0 for x in self.b):
             raise InputError("Betti numbers must be nonnegative")
 

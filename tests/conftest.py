@@ -3,17 +3,20 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Two exceptions are kept as differential oracles for the engines that
+Three exceptions are kept as differential oracles for the code that
 replaced them: ``face_ring_cohomology``, the library's previous cohomology
-engine, for ``cohomology_ring``; and ``per_subset_wedge_splitting``, the
+engine, for ``cohomology_ring``; ``per_subset_wedge_splitting``, the
 previous wedge splitting that builds and reduces every full subcomplex, for
-``wedge_splitting``.
+``wedge_splitting``; and the symbolic mod-2 presentations
+(``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
+``cohomology_ring`` over F2 and ``cube_census``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from torictop import linalg
@@ -27,7 +30,12 @@ from torictop.complexes import (
 from torictop.errors import CapExceededError, ConsistencyError, InputError
 from torictop.homology import GradedHomology, merge_torsion, reduced_homology
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
-from torictop.quasitoric import CharacteristicMatrix, CohomologyPresentation, validate_characteristic
+from torictop.quasitoric import (
+    CharacteristicMatrix,
+    CohomologyPresentation,
+    require_admissible,
+    validate_characteristic,
+)
 
 
 def powerset_faces(maximal_faces) -> set[tuple[int, ...]]:
@@ -474,3 +482,172 @@ def per_subset_wedge_splitting(
         trivial_count=trivial,
         total=GradedHomology.from_dict(coeff, assembled),
     )
+
+
+# ---------------------------------------------------------------------------
+# small quadratic presentations over F2, kept as oracles for cohomology_ring
+# and cube_census
+#
+# The symbolic mod-2 presentations the library used for the 3-cube and for
+# products of two simplices, before every presentation came from
+# cohomology_ring.  Copied unchanged from the library, except that the
+# record is a frozen dataclass.
+
+
+@dataclass(frozen=True)
+class QuadraticPresentationF2:
+    """Symbolic mod-2 presentation for the two low-dimensional families.
+
+    kind 'cube': F2[x,y,z] / (x^2+x(ay+bz), y^2+y(cx+dz), z^2+z(ex+fy));
+    kind 'two-simplices': F2[x,y] / (x^(k'-l+1)(x+y)^l, y^(n-k'+1)).
+    """
+
+    kind: str
+    params: tuple[int, ...]
+    valid: bool | None
+    h2_dim: int
+    h4_dim: int
+    squaring: tuple[tuple[int, ...], ...]  # rows over the degree-4 basis
+    h2_names: tuple[str, ...]
+
+    def squaring_matrix(self) -> list[list[int]]:
+        return [list(r) for r in self.squaring]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": self.kind,
+            "params": list(self.params),
+            "valid": self.valid,
+            "h2_dim": self.h2_dim,
+            "h4_dim": self.h4_dim,
+            "squaring": [list(r) for r in self.squaring],
+        }
+
+
+def cube_determinant_f2(a: int, b: int, c: int, d: int, e: int, f: int) -> int:
+    """F2 determinant of [[1,c,e],[a,1,f],[b,d,1]]."""
+    return (1 + f * d + c * a + c * f * b + e * a * d + e * b) % 2
+
+
+def cube_presentation(a: int, b: int, c: int, d: int, e: int, f: int) -> QuadraticPresentationF2:
+    """Quadratic presentation attached to a quasitoric manifold over the 3-cube.
+
+    Validity demands every pairwise product ac, df, be to vanish and the
+    determinant to be 1: these are exactly the mod-2 shadows of the
+    unimodular principal minors of a characteristic matrix in refined form.
+    (The pair condition be = 0 is forced by the 2x2 principal minor on the
+    first and third stages, symmetrically to ac and df.)
+    """
+    a, b, c, d, e, f = (int(x) % 2 for x in (a, b, c, d, e, f))
+    valid = (
+        a * c == 0 and d * f == 0 and b * e == 0 and cube_determinant_f2(a, b, c, d, e, f) == 1
+    )
+    squaring = (
+        (a, c, 0),
+        (b, 0, e),
+        (0, d, f),
+    )
+    return QuadraticPresentationF2(
+        kind="cube",
+        params=(a, b, c, d, e, f),
+        valid=valid,
+        h2_dim=3,
+        h4_dim=3,
+        squaring=squaring,
+        h2_names=("x", "y", "z"),
+    )
+
+
+def _poly_mul(p1: dict, p2: dict) -> dict:
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in p1.items():
+        for (i2, j2), c2 in p2.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = (out.get(k, 0) + c1 * c2) % 2
+    return {k: v for k, v in out.items() if v}
+
+
+def product_presentation(n: int, kprime: int, ell: int) -> QuadraticPresentationF2:
+    """Mod-2 presentation for quasitoric manifolds over a product of two simplices."""
+    if not (0 <= ell <= kprime <= n):
+        raise InputError("need 0 <= l <= k' <= n")
+    x_plus_y = {(1, 0): 1, (0, 1): 1}
+    r1 = {(kprime - ell + 1, 0): 1}
+    for _ in range(ell):
+        r1 = _poly_mul(r1, x_plus_y)
+    r2 = {(0, n - kprime + 1): 1}
+    relations = [r1, r2]
+    field = linalg.PrimeField(2)
+
+    def degree_system(d):
+        cols = [(d - j, j) for j in range(d + 1)]
+        col_index = {c: i for i, c in enumerate(cols)}
+        rows = []
+        for r in relations:
+            deg_r = max(i + j for (i, j) in r)
+            if deg_r > d:
+                continue
+            extra = d - deg_r
+            for t in range(extra + 1):
+                vec = [0] * len(cols)
+                for (i, j), c in r.items():
+                    vec[col_index[(i + extra - t, j + t)]] ^= c
+                rows.append(vec)
+        rref_rows, pivots = linalg.rref(rows, len(cols), field)
+        basis_cols = [c for c in range(len(cols)) if c not in set(pivots)]
+        return cols, rref_rows, pivots, basis_cols
+
+    cols1, rr1, pv1, b1 = degree_system(1)
+    cols2, rr2, pv2, b2 = degree_system(2)
+    sq_cols = []
+    for c in b1:
+        i, j = cols1[c]
+        vec = [0] * len(cols2)
+        vec[cols2.index((2 * i, 2 * j))] = 1
+        red = linalg.reduce_against(vec, rr2, pv2, field)
+        sq_cols.append(tuple(red[cc] for cc in b2))
+    squaring = tuple(
+        tuple(col[r] for col in sq_cols) for r in range(len(b2))
+    )
+    names = tuple("xy"[cols1[c].index(1)] if 1 in cols1[c] else "?" for c in b1)
+    return QuadraticPresentationF2(
+        kind="two-simplices",
+        params=(n, kprime, ell),
+        valid=None,
+        h2_dim=len(b1),
+        h4_dim=len(b2),
+        squaring=squaring,
+        h2_names=names,
+    )
+
+
+def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPresentationF2:
+    """Extract the mod-2 quadratic presentation from quasitoric data over the 3-cube.
+
+    Works for any admissible matrix, not only refined ones: the column
+    submatrix on the first maximal face is inverted over the integers and
+    used to rewrite the remaining columns.
+    """
+    if P.n != 3 or P.m != 6:
+        raise InputError("cube parameters need a 3-polytope with 6 facets")
+    K = P.complex
+    # antipodal pairing: each vertex has exactly one non-neighbor
+    partner = {}
+    for v in range(1, 7):
+        non = [w for w in range(1, 7) if w != v and not K.has_face([v, w])]
+        if len(non) != 1:
+            raise InputError("dual complex is not the boundary of the 3-dimensional cross-polytope")
+        partner[v] = non[0]
+    require_admissible(P, lam)
+    sigma0 = min(K.maximal_faces)
+    free = [partner[v] for v in sigma0]
+    S = linalg.unimodular_inverse(lam.column_submatrix(sigma0))
+    B = linalg.matmul_int(S, lam.column_submatrix(free), 3)
+    Bbar = [[x % 2 for x in row] for row in B]
+    for k in range(3):
+        if Bbar[k][k] != 1:
+            raise ConsistencyError("diagonal of the reduced matrix must be odd for admissible data")
+    a, b = Bbar[0][1], Bbar[0][2]
+    c, d = Bbar[1][0], Bbar[1][2]
+    e, f = Bbar[2][0], Bbar[2][1]
+    return cube_presentation(a, b, c, d, e, f)

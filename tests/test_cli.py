@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from torictop import fixtures
 from torictop.cli import main
@@ -105,7 +111,7 @@ def test_split_rejects_non_primitive_override(capsys):
 
 
 def test_bott3_fixture_reduces_to_valid_cube_presentation(capsys):
-    from torictop import cube_parameters
+    from conftest import cube_parameters
 
     P, lam = fixtures.load_quasitoric("bott3")
     pres = cube_parameters(P, lam)
@@ -463,3 +469,115 @@ def test_output_file(tmp_path, capsys):
     assert rc == 0 and out == ""
     rep = json.loads(dest.read_text())
     assert rep["results"]["h"] == [1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON from outside: exit 2 with a message, never a traceback
+
+
+def run_on_json(tmp_dir, argv, obj):
+    """Run ``main`` in process on ``obj`` written as the input file; (rc, stderr)."""
+    path = Path(tmp_dir) / "input.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--input", str(path)])
+    return rc, err.getvalue()
+
+
+CP2_JSON = {"polytope": {"n": 2, "complex": {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}},
+            "lambda": [[1, 0, -1], [0, 1, -1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, obj, field",
+    [
+        (["qtm"], {**CP2_JSON, "lambda": [[1.7, 0, -1], [0, 1, -1]]}, "row 0 entry 0 is 1.7"),
+        (["qtm"], {**CP2_JSON, "lambda": [["1", 0, -1], [0, 1, -1]]}, "row 0 entry 0 is '1'"),
+        (["qtm"], {**CP2_JSON, "lambda": [[True, 0, -1], [0, 1, -1]]}, "row 0 entry 0 is True"),
+        (["qtm"], {**CP2_JSON, "lambda": 5}, "characteristic matrix"),
+        (["split", "--p", "3"], {"b": [1.5, 1]}, "'b' entry 0 is 1.5"),
+        (["split", "--p", "3"], {"b": ["x"]}, "'b' entry 0 is 'x'"),
+        (["split", "--p", "3"], {"b": 5}, "'b' must be a list"),
+        (["split", "--p", "3"], {"b": []}, "n_top >= 0"),
+        (["bott"], {"dims": [1.9]}, "stage dimensions entry 0 is 1.9"),
+        (["bott"], {"dims": 3}, "stage dimensions must be a list"),
+        (["bott"], {"dims": [1, "a"]}, "stage dimensions entry 1 is 'a'"),
+        (["bott"], {"dims": [1, 1], "params": [[], [[1.9]]]}, "over stage 1 entry 0 is 1.9"),
+        (["bott"], {"dims": [1, 1], "params": 5}, "parameter entries"),
+        (["bott"], {"dims": [1, 1], "params": [[], 5]}, "earlier stages"),
+        (["bott"], {"dims": [100]}, "above the limit"),
+        (["hvec"], {"n": True, "complex": CP2_JSON["polytope"]["complex"]}, "'n' is True"),
+        (["hvec"], {"n": 2.0, "complex": CP2_JSON["polytope"]["complex"]}, "'n' is 2.0"),
+        (["hvec"], {"n": "2", "complex": CP2_JSON["polytope"]["complex"]}, "'n' is '2'"),
+        (["hvec"], {"n": 2, "complex": {"m": 3, "facets": 5}}, "facets"),
+        (["zk"], {"complex": 5}, "complex"),
+        (["hvec"], [1, 2], "JSON object"),
+    ]
+    + [
+        ([cmd, *extra], {"polytope": 5, "lambda": [[1]]}, "polytope")
+        for cmd, extra in [("hvec", []), ("zk", []), ("qtm", []), ("split", ["--p", "3"]),
+                           ("projection", ["--p", "3"])]
+    ],
+)
+def test_malformed_input_exits_2_naming_the_field(tmp_path, argv, obj, field):
+    rc, err = run_on_json(tmp_path, argv, obj)
+    assert rc == 2
+    assert field in err
+
+
+def _json_trees():
+    leaves = (st.none() | st.booleans() | st.integers(-2, 8)
+              | st.sampled_from([1.5, 2.0, -0.5]) | st.sampled_from(["", "x", "1"]))
+    keys = st.sampled_from(["n", "m", "complex", "facets", "polytope", "lambda", "b", "dims",
+                            "params", "kind"])
+    return st.recursive(
+        leaves, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(keys, kids, max_size=4),
+        max_leaves=12,
+    )
+
+
+FUZZ_TEMPLATES = [
+    CP2_JSON,
+    {"n": 2, "complex": {"m": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]]}},
+    {"m": 4, "facets": [[1, 2], [2, 3, 4]]},
+    {"b": [1, 2, 1]},
+    {"dims": [1, 2], "params": [[], [[1, 0]]]},
+]
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """A valid template with one node replaced by a random JSON tree, or a
+    random tree alone.  The node is found by a walk from the root that stops
+    at each level with probability 1/2, so shallow fields are hit often."""
+    template = draw(st.sampled_from([None, *FUZZ_TEMPLATES]))
+    tree = draw(_json_trees())
+    if template is None:
+        return tree
+    obj = copy.deepcopy(template)
+    node, key = obj, draw(st.sampled_from(sorted(obj)))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    node[key] = tree
+    return obj
+
+
+FUZZ_COMMANDS = {
+    "hvec": [], "zk": ["--coeff", "F2"], "qtm": ["--coeff", "F2"], "split": ["--p", "3"],
+    "projection": ["--p", "3"], "bott": [], "nontrivial": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(obj=fuzz_inputs())
+def test_fuzzed_json_exits_0_or_2(command, obj):
+    dims = obj.get("dims") if isinstance(obj, dict) else None
+    if isinstance(dims, list) and all(type(d) is int and d > 0 for d in dims):
+        assume(sum(d + 1 for d in dims) <= 8)  # keep every tower at m <= 8
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = run_on_json(tmp, [command, *FUZZ_COMMANDS[command]], obj)
+    assert rc in (0, 2), err

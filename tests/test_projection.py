@@ -2,13 +2,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import pascal_parity_table
+from conftest import cube_determinant_f2, cube_presentation, pascal_parity_table
 from torictop import (
     CharacteristicMatrix,
     InputError,
     cohomology_ring,
     cube_census,
-    cube_presentation,
     full_subcomplex,
     generalized_bott,
     p_local_note,
@@ -19,6 +18,7 @@ from torictop import (
     steenrod_hit_search,
     suspension_triviality_check,
     two_simplices_check,
+    validate_characteristic,
 )
 from torictop import fixtures
 from torictop.projection import CERT_DIMENSION, CERT_SIMPLEX, CERT_VANISHING
@@ -231,11 +231,30 @@ def test_cube_census_complete():
             assert img == [0, 0, 0]
 
 
+def test_cube_census_agrees_with_the_engine_on_all_64_tuples():
+    # lambda = [I | B] on the tower cube, B's columns on vertices 2, 4, 6:
+    # the census's validity is the integer admissibility of the 0/1 lift, and
+    # on valid tuples its kernel dimension is the engine's.  Witnesses are not
+    # compared: the engine's H^2 basis is (v6, v4, v2), and the kernel basis
+    # it picks may differ.
+    P, _ = generalized_bott([1, 1, 1])
+    census = cube_census()
+    for entry in census.entries:
+        a, b, c, d, e, f = entry.params
+        B = [[1, a, b], [c, 1, d], [e, f, 1]]
+        lam = CharacteristicMatrix.from_rows(
+            [[int(r == i) if k == 0 else B[r][i] for i in range(3) for k in (0, 1)]
+             for r in range(3)]
+        )
+        assert validate_characteristic(P, lam).valid == entry.valid, entry.params
+        if entry.valid:
+            v = squaring_kernel(cohomology_ring(P, lam, "F2"))
+            assert v.witness["kernel_dimension"] == entry.witness["kernel_dimension"]
+
+
 def test_cube_census_spot_checked_determinants():
     # five tuples checked by hand against the cofactor expansion of
     # [[1,c,e],[a,1,f],[b,d,1]] over F2
-    from torictop.quasitoric import cube_determinant_f2
-
     assert cube_determinant_f2(0, 0, 0, 0, 0, 0) == 1  # identity
     assert cube_determinant_f2(1, 0, 0, 1, 1, 0) == 0  # 1 - fd - ca + cfb + ead - eb = 1+1
     assert cube_determinant_f2(0, 1, 0, 1, 1, 0) == 0  # eb term kills it

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_ring_cohomology
+from conftest import (
+    cube_determinant_f2,
+    cube_parameters,
+    cube_presentation,
+    face_ring_cohomology,
+    product_presentation,
+)
 
 from torictop import (
     CharacteristicMatrix,
     InputError,
     PolytopeDual,
     cohomology_ring,
-    cube_parameters,
-    cube_presentation,
     generalized_bott,
     h_vector_of,
     join,
     polygon_polytope,
     power_map_scalars,
-    product_presentation,
     simplex_boundary,
     simplex_polytope,
     validate_characteristic,
@@ -197,8 +200,6 @@ def test_cube_presentation_needs_all_three_pair_conditions():
     pres = cube_presentation(1, 1, 0, 1, 1, 0)
     a, b, c, d, e, f = pres.params
     assert a * c == 0 and d * f == 0 and b * e == 1
-    from torictop.quasitoric import cube_determinant_f2
-
     assert cube_determinant_f2(*pres.params) == 1
     assert not pres.valid
     f2 = PrimeField(2)
@@ -266,6 +267,25 @@ def test_product_presentation_dims():
     assert (pres.h2_dim, pres.h4_dim) == (2, 3)
     with pytest.raises(InputError):
         product_presentation(3, 2, 3)
+
+
+def test_product_presentation_matches_the_engine():
+    # the quasitoric manifolds over a product of two simplices are the towers
+    # with a twist vector of l ones and k'-l zeros
+    f2 = PrimeField(2)
+    cases = 0
+    for n in range(2, 8):
+        for kprime in range(1, n):
+            for ell in range(kprime + 1):
+                pres = product_presentation(n, kprime, ell)
+                twist = (1,) * ell + (0,) * (kprime - ell)
+                ring = cohomology_ring(*generalized_bott([n - kprime, kprime], [[], [twist]]), "F2")
+                h2, h4 = ring.dim(2), ring.dim(4)
+                assert (pres.h2_dim, pres.h4_dim) == (h2, h4), (n, kprime, ell)
+                rank = len(rref(pres.squaring_matrix(), pres.h2_dim, f2)[1])
+                assert pres.h2_dim - rank == h2 - len(rref(ring.squaring_matrix(), h2, f2)[1])
+                cases += 1
+    assert cases == 77
 
 
 def test_invalid_matrix_rejected_by_ring():
