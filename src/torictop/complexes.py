@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 
 from ._record import _Field, _frozen
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 MAX_VERTICES = 63
+MAX_FACE_WORK = 1 << 22  # subsets of maximal faces one face listing may visit
 
 
 def _mask_of(vertices, m: int) -> int:
@@ -132,6 +133,15 @@ class SimplicialComplex:
         return {"m": self.m, "facets": sorted(list(f) for f in self.maximal_faces)}
 
 
+def require_face_work(facets: int, n: int) -> None:
+    """Refuse, before it starts, a face listing that visits more than MAX_FACE_WORK subsets."""
+    if facets << n > MAX_FACE_WORK:
+        raise CapExceededError(
+            f"listing the faces of {facets} maximal faces of {n} vertices would visit "
+            f"{facets << n} subsets, above the face-enumeration cap of {MAX_FACE_WORK}"
+        )
+
+
 def validate_complex(raw, m: int) -> SimplicialComplex:
     """Normalize a raw face list into a SimplicialComplex.
 
@@ -224,6 +234,7 @@ class PolytopeDual:
             raise InputError("dual complex has no faces")
         if any(f.bit_count() != n for f in K.masks):
             raise InputError(f"dual complex is not pure of dimension {n - 1}")
+        require_face_work(len(K.masks), n)
         covered = 0
         for f in K.masks:
             covered |= f

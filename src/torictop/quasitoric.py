@@ -20,9 +20,13 @@ first, so output is deterministic.
 
 from __future__ import annotations
 
+import math
+
 from . import linalg
 from ._record import _frozen
-from .complexes import MAX_VERTICES, PolytopeDual, h_vector_of, join, simplex_boundary
+from .complexes import (
+    MAX_VERTICES, PolytopeDual, h_vector_of, join, require_face_work, simplex_boundary,
+)
 from .errors import ConsistencyError, InputError, require_ints
 
 
@@ -312,6 +316,7 @@ def generalized_bott(dims, params=None) -> tuple[PolytopeDual, CharacteristicMat
     m = sum(d + 1 for d in dims)
     if m > MAX_VERTICES:
         raise InputError(f"tower has {m} facets, above the limit of {MAX_VERTICES}")
+    require_face_work(math.prod(d + 1 for d in dims), n)
     if params is None:
         params = [[[0] * dims[j] for _ in range(j)] for j in range(ell)]
     if not isinstance(params, (list, tuple)) or len(params) != ell:

@@ -1,5 +1,8 @@
 import contextlib
 import copy
+import gc
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -12,9 +15,12 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from torictop import fixtures
-from torictop.cli import main
+from torictop import __version__, fixtures
+from torictop.cli import input_digest, main, run
+from torictop.complexes import join, simplex_boundary
 from torictop.errors import ConsistencyError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -23,14 +29,14 @@ def run_cli(capsys, *argv):
     return rc, out
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, text=True):
     """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "torictop.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=text, env=env, timeout=60,
     )
 
 
@@ -404,6 +410,9 @@ def modules_loaded_by(*argv):
     return set(proc.stderr.splitlines()[-1].split())
 
 
+HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
 def test_version_loads_no_compute_module():
     loaded = modules_loaded_by("--version")
     assert {m for m in loaded if m.startswith("torictop")} <= {
@@ -439,7 +448,11 @@ def test_no_subcommand_loads_dataclasses(argv, tmp_path):
     tower = tmp_path / "tower.json"
     tower.write_text('{"dims": [1, 2]}')
     argv = [str(tower) if a == "TOWER" else a for a in argv]
-    assert "dataclasses" not in modules_loaded_by(*argv)
+    loaded = modules_loaded_by(*argv)
+    assert "dataclasses" not in loaded
+    # the input digest takes the builtin SHA-256, never OpenSSL's, which is slow to load
+    if HAS_BUILTIN_SHA256:
+        assert "_hashlib" not in loaded
 
 
 def test_exit_code_3_on_consistency_failure(capsys, monkeypatch):
@@ -469,6 +482,116 @@ def test_output_file(tmp_path, capsys):
     assert rc == 0 and out == ""
     rep = json.loads(dest.read_text())
     assert rep["results"]["h"] == [1, 1, 1, 1]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    dest = tmp_path / "no_such_dir" / "report.json"
+    rc = main(["hvec", "--fixture", "polygon6", "--output", str(dest)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"torictop: input error: cannot write {dest}: ")
+
+
+# ---------------------------------------------------------------------------
+# the exit path: run() freezes the collector before the interpreter exits,
+# main() never touches it
+
+
+def test_version_in_a_fresh_process():
+    proc = run_subprocess("--version")
+    assert proc.returncode == 0
+    assert proc.stdout == f"torictop {__version__}\n"
+
+
+def test_bad_flag_in_a_fresh_process_exits_2_with_usage():
+    proc = run_subprocess("hvec", "--no-such-flag")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: torictop ")
+    assert "unrecognized arguments: --no-such-flag" in proc.stderr
+
+
+def test_input_error_in_a_fresh_process_exits_2():
+    proc = run_subprocess("hvec", "--fixture", "no_such_fixture")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("torictop: input error: ")
+
+
+def test_large_report_through_a_pipe_matches_main():
+    argv = ["zk", "--fixture", "polygon8", "--coeff", "Z"]
+    proc = run_subprocess(*argv, text=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert proc.stdout == out.getvalue().encode()
+    assert len(proc.stdout) > 50_000
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["hvec", "--fixture", "polygon6"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_collector_on_every_exit(monkeypatch, capsys):
+    for argv, code in [(["--version"], 0), (["hvec", "--fixture", "polygon6"], 0),
+                       (["hvec", "--fixture", "no_such_fixture"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["torictop", *argv])
+        gc.unfreeze()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                run()
+        finally:
+            frozen = gc.get_freeze_count()
+            gc.unfreeze()
+        assert exc.value.code == code and frozen > 0
+
+
+def test_console_script_is_run():
+    assert 'torictop = "torictop.cli:run"' in (ROOT / "pyproject.toml").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the input digest: the builtin SHA-256 module, or hashlib where there is none
+
+SHA256 = hashlib.sha256
+
+
+@contextlib.contextmanager
+def digest_source(builtin: bool):
+    """With ``builtin`` false, hide the builtin SHA-256 modules so the digest
+    falls back to hashlib; yields the list of inputs hashlib was given."""
+    hashed = []
+
+    def recorded(data=b"", **kwargs):
+        hashed.append(data)
+        return SHA256(data, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not builtin:
+            mp.setitem(sys.modules, "_sha2", None)
+            mp.setitem(sys.modules, "_sha256", None)
+            mp.setattr(hashlib, "sha256", recorded)
+        yield hashed
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+def test_input_digest_is_sha256_of_every_fixture(builtin):
+    with digest_source(builtin) as via_hashlib:
+        for name in fixtures.names():
+            data = fixtures.raw(name)
+            assert input_digest(data) == SHA256(data).hexdigest()
+    assert len(via_hashlib) == (0 if builtin else len(fixtures.names()))
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.binary(max_size=2048))
+def test_input_digest_is_sha256_of_any_bytes(builtin, data):
+    with digest_source(builtin):
+        assert input_digest(data) == SHA256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +641,13 @@ CP2_JSON = {"polytope": {"n": 2, "complex": {"m": 3, "facets": [[1, 2], [1, 3], 
         ([cmd, *extra], {"polytope": 5, "lambda": [[1]]}, "polytope")
         for cmd, extra in [("hvec", []), ("zk", []), ("qtm", []), ("split", ["--p", "3"]),
                            ("projection", ["--p", "3"])]
+    ]
+    + [
+        # above the face-enumeration cap: refused before any face is listed
+        (["bott"], {"dims": [6, 6, 6]}, "would visit 89915392 subsets"),
+        (["hvec"], {"n": 15, "complex": join(join(simplex_boundary(5), simplex_boundary(5)),
+                                             simplex_boundary(5)).to_json_obj()},
+         "would visit 7077888 subsets"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(tmp_path, argv, obj, field):

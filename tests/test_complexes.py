@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import face_counts_by_card, h_from_f_polynomial, powerset_faces
 from torictop import (
+    CapExceededError,
     HVector,
     InputError,
     PolytopeDual,
@@ -23,6 +24,7 @@ from torictop import (
     simplex_polytope,
     validate_complex,
 )
+from torictop.complexes import SimplicialComplex, require_face_work
 
 
 def test_validate_four_cycle():
@@ -250,6 +252,23 @@ def test_polytope_rejects_wrong_euler_characteristic():
          [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]], 6)
     with pytest.raises(InputError, match="Euler"):
         PolytopeDual(n=3, complex=rp2)
+
+
+def test_face_work_cap_is_inclusive():
+    require_face_work(1 << 11, 11)  # 2^22 subsets: at the cap
+    with pytest.raises(CapExceededError, match="2049 maximal faces of 11 vertices would visit 4196352 subsets"):
+        require_face_work((1 << 11) + 1, 11)
+
+
+def test_polytope_refuses_a_face_listing_above_the_cap_before_it_starts(monkeypatch):
+    K = join(join(simplex_boundary(5), simplex_boundary(5)), simplex_boundary(5))
+
+    def enumerated(self):
+        raise AssertionError("faces enumerated before the cap check")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_card", enumerated)
+    with pytest.raises(CapExceededError, match="216 maximal faces of 15 vertices would visit 7077888"):
+        PolytopeDual(n=15, complex=K)
 
 
 def test_polytope_rejects_ghost_vertex():

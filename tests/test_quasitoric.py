@@ -14,6 +14,7 @@ from conftest import (
 )
 
 from torictop import (
+    CapExceededError,
     CharacteristicMatrix,
     InputError,
     PolytopeDual,
@@ -162,6 +163,19 @@ def test_bott_parameter_shape_checked():
         generalized_bott([1, 1], [[], []])
     with pytest.raises(InputError):
         generalized_bott([1, 2], [[], [[1]]])  # stage 2 vectors need length 2
+
+
+def test_bott_refuses_a_tower_above_the_face_cap_before_the_join(monkeypatch):
+    import torictop.quasitoric as quasitoric
+
+    def joined(*a):
+        raise AssertionError("join built before the cap check")
+
+    monkeypatch.setattr(quasitoric, "join", joined)
+    with pytest.raises(CapExceededError, match="343 maximal faces of 18 vertices would visit 89915392"):
+        generalized_bott([6, 6, 6])
+    with pytest.raises(CapExceededError, match=f"would visit {2 ** 31 << 31} subsets"):
+        generalized_bott([1] * 31)  # m = 62, inside the vertex limit
 
 
 def test_bott_three_stage_reduces_to_valid_cube_presentation():
