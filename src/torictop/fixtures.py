@@ -1,32 +1,30 @@
-"""Bundled JSON fixtures: standard polytopes and characteristic matrices."""
+"""Bundled JSON fixtures: standard polytopes and characteristic matrices.
+
+They are read from the ``fixtures`` directory next to this file, which the
+package data installs with the package.
+"""
 
 from __future__ import annotations
 
 import json
+import os
 
 from .complexes import PolytopeDual, validate_complex
 from .errors import InputError, require_int
 
-
-def _package_files():
-    from importlib import resources  # only reading a bundled fixture needs it
-    return resources.files(__package__) / "fixtures"
+_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def names() -> list[str]:
-    out = []
-    for entry in _package_files().iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[: -len(".json")])
-    return sorted(out)
+    return sorted(f[: -len(".json")] for f in os.listdir(_DIR) if f.endswith(".json"))
 
 
 def raw(name: str) -> bytes:
-    f = _package_files() / f"{name}.json"
-    try:
-        return f.read_bytes()
-    except FileNotFoundError:
-        raise InputError(f"no fixture named {name!r}; available: {', '.join(names())}")
+    available = names()
+    if name not in available:  # also keeps paths and odd bytes away from open()
+        raise InputError(f"no fixture named {name!r}; available: {', '.join(available)}")
+    with open(os.path.join(_DIR, f"{name}.json"), "rb") as fh:
+        return fh.read()
 
 
 def load(name: str) -> dict:

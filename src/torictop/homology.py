@@ -4,9 +4,10 @@ Integral homology goes through an integer Smith normal form with a fixed
 pivot rule (smallest nonzero absolute value, then lowest row, then lowest
 column), so results are bit-stable across platforms.  Over Z one SNF per
 boundary map gives both its rank and its torsion.  Field coefficients skip
-torsion and use rank computations only: F_p ranks come from elimination on
-Python ints reduced mod p, exact for every prime, and rational ranks from
-fraction-free integer elimination.
+torsion and use rank computations only: F_p ranks come from the sparse
+field eliminator ``linalg.echelon`` on Python ints reduced mod p, exact for
+every prime, and rational ranks from fraction-free integer elimination.
+One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>'.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -226,30 +227,19 @@ class GradedHomology:
         ]
 
 
-def _coeff_kind(coeff: str):
-    """Return ('Z', None) or ('Q', None) or ('Fp', p) for a coefficient tag."""
-    if coeff == "Z":
-        return "Z", None
-    if coeff == "Q":
-        return "Q", None
-    if coeff.startswith("F") and coeff[1:].isdecimal():
-        return "Fp", linalg.prime_of_tag(coeff)
-    raise InputError(f"unknown coefficient tag {coeff!r}; use 'Z', 'Q' or 'F<p>'")
-
-
 def _homology_from_boundaries(
     boundaries: list[IntegerMatrix], dims: list[int], base_degree: int, coeff: str
 ) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
     boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.
     Trusts the maps to chain and to compose to zero (see chain_homology)."""
-    kind, p = _coeff_kind(coeff)
+    p = linalg.coeff_prime(coeff, allow_z=True)
     torsion = [()] * len(boundaries)
-    if kind == "Z":
+    if p is None:
         snfs = [smith_normal_form(mat) for mat in boundaries]
         ranks = [snf.rank for snf in snfs]
         torsion = [snf.torsion for snf in snfs]
-    elif kind == "Fp":
+    elif p:
         ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
     else:
         ranks = [linalg.rank_int(mat.entries) for mat in boundaries]

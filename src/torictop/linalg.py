@@ -1,10 +1,11 @@
 """Exact linear algebra kernels.
 
-Everything here is deterministic and exact: integer routines use Python's
-arbitrary-precision ints (Bareiss fraction-free elimination), field routines
-use either Fraction arithmetic or Python ints reduced mod p, so F_p ranks are
-exact for every prime.  No floating point, and no dependency outside the
-standard library.
+Everything here is deterministic and exact, with no floating point and no
+dependency outside the standard library.  Integer routines use Python's
+arbitrary-precision ints (Bareiss fraction-free elimination).  Field work
+over F_p and over Q goes through one sparse eliminator, ``echelon``, whose
+pivot rows also give normal forms and kernels.  Over F_p it works on ints
+reduced mod p, so it is exact for every prime; over Q it uses Fractions.
 """
 
 from __future__ import annotations
@@ -109,30 +110,6 @@ def matmul_int(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[
     return out
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p, by elimination on Python ints.
-
-    Each pivot row is stored normalized (leading entry 1) under its leading
-    column, as its nonzero (column, entry) pairs; every input row is reduced
-    in place against the pivots it meets and then either becomes a new pivot
-    or vanishes.
-    """
-    pivots: dict[int, list[tuple[int, int]]] = {}
-    for row in rows:
-        v = [x % p for x in row]
-        for c, x in enumerate(v):
-            if not x:
-                continue
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(x, -1, p)
-                pivots[c] = [(j, y * inv % p) for j, y in enumerate(v) if y]
-                break
-            for j, y in prow:  # clears v[c]; v is zero left of c already
-                v[j] = (v[j] - x * y) % p
-    return len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # coefficient fields
 
@@ -170,73 +147,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic in F_p with elements stored as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
 
-class RationalField:
-    """Arithmetic in Q via Fraction, imported here since only Q needs it."""
-
-    def __init__(self):
-        from fractions import Fraction
-        self.zero, self.one, self.from_int = Fraction(0), Fraction(1), Fraction
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    def inv(self, a):
-        return self.one / a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-
-def prime_of_tag(coeff: str) -> int:
-    """The prime p of a tag 'F<p>', refused unless p < PRIME_BOUND is prime."""
+def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
+    """Parse a coefficient tag: p for 'F<p>' and 0 for 'Q', the ``p`` of
+    ``echelon``, and None for 'Z' where ``allow_z`` admits it.  'F<p>' is
+    refused unless p < PRIME_BOUND is prime."""
+    if coeff == "Q":
+        return 0
+    if coeff == "Z" and allow_z:
+        return None
+    if not (coeff.startswith("F") and coeff[1:].isdecimal()):
+        tags = "'Z', 'Q' or 'F<p>'" if allow_z else "'Q' or 'F<p>'"
+        raise InputError(f"unknown coefficient tag {coeff!r}; use {tags}")
     try:
         p = int(coeff[1:])
     except ValueError:  # more digits than int() will parse
@@ -251,70 +174,78 @@ def prime_of_tag(coeff: str) -> int:
     return p
 
 
-def field_for_tag(coeff: str):
-    """Map a coefficient tag ('Q', 'F2', 'F3', ...) to a field object."""
-    if coeff == "Q":
-        return RationalField()
-    if coeff.startswith("F") and coeff[1:].isdecimal():
-        return PrimeField(prime_of_tag(coeff))
-    raise InputError(f"unknown coefficient tag {coeff!r}; use 'Q' or 'F<p>'")
-
-
 # ---------------------------------------------------------------------------
-# field linear algebra (dense rows, deterministic pivoting)
+# the field eliminator: F_p for a prime p, Q for p = 0
 
 
-def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form.
+def echelon(rows, p: int) -> dict[int, list[tuple[int, object]]]:
+    """Echelon form of the row space of integer rows over F_p, or Q if p is 0.
 
-    Returns (reduced nonzero rows, pivot column indices).  Every pivot row
-    is zero in the other pivot columns, so the result depends only on the
-    row space, not on the order of the input rows.
+    Returns {pivot column: pivot row}, each pivot row as its nonzero
+    (column, entry) pairs: entry 1 at the pivot column and nothing left of
+    it.  Each row is reduced mod p on entry, then against the pivots it
+    meets from left to right, until it becomes a new pivot row or vanishes.
+    The pivot columns are the leading columns of the row space, so they do
+    not depend on the order of the rows.  Over Q the pivot rows hold
+    Fractions, and only then is ``fractions`` imported.
     """
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    m = len(work)
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if not field.is_zero(work[i][c])), None)
-        if piv is None:
+    if not p:
+        from fractions import Fraction
+    pivots: dict[int, list[tuple[int, object]]] = {}
+    for row in rows:
+        v = [x % p for x in row] if p else list(row)
+        for c, x in enumerate(v):
+            if not x:
+                continue
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(x, -1, p) if p else 1 / Fraction(x)
+                pivots[c] = [(j, y * inv % p if p else y * inv) for j, y in enumerate(v) if y]
+                break
+            if p:  # clears v[c]; v is zero left of c already
+                for j, y in prow:
+                    v[j] = (v[j] - x * y) % p
+            else:
+                for j, y in prow:
+                    v[j] -= x * y
+    return pivots
+
+
+def normal_form(vec, pivots: dict, p: int) -> list:
+    """The integer vector ``vec`` reduced against ``echelon`` pivots, in one
+    pass from left to right: the unique representative of its class modulo
+    the row space that is zero in every pivot column."""
+    v = [x % p for x in vec] if p else list(vec)
+    for c, x in enumerate(v):
+        prow = pivots.get(c) if x else None
+        if prow is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][c])
-        prow = work[r] = [field.mul(inv, x) for x in work[r]]
-        support = [j for j, x in enumerate(prow) if not field.is_zero(x)]
-        for i, row in enumerate(work):
-            f = row[c]
-            if i != r and not field.is_zero(f):
-                for j in support:
-                    row[j] = field.sub(row[j], field.mul(f, prow[j]))
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return work[:r], pivots
-
-
-def reduce_against(vec: list, rref_rows: list[list], pivots: list[int], field) -> list:
-    """Normal form of vec modulo the row space given in RREF."""
-    v = list(vec)
-    for row, p in zip(rref_rows, pivots):
-        c = v[p]
-        if not field.is_zero(c):
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+        if p:
+            for j, y in prow:
+                v[j] = (v[j] - x * y) % p
+        else:
+            for j, y in prow:
+                v[j] -= x * y
     return v
 
 
-def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
-    """Basis of the right kernel of the matrix, one vector per free column."""
-    red, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def kernel_vectors(pivots: dict, ncols: int, p: int) -> list[list]:
+    """Basis of the right kernel of a matrix with ``echelon`` pivots, one
+    vector per free column f, with entry 1 at f and 0 at the other free
+    columns; each pivot entry follows by back-substitution from the right."""
     basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for row, p in zip(red, pivots):
-            v[p] = field.neg(row[f])
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for c in sorted(pivots, reverse=True):
+            s = -sum(y * v[j] for j, y in pivots[c][1:])
+            v[c] = s % p if p else s
         basis.append(v)
     return basis
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    return len(echelon(rows, p))

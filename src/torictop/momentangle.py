@@ -27,7 +27,8 @@ import math
 from ._record import _frozen
 from .complexes import SimplicialComplex, _vertices_of, full_subcomplex
 from .errors import CapExceededError, InputError
-from .homology import GradedHomology, _coeff_kind, merge_torsion, reduced_homology
+from .homology import GradedHomology, merge_torsion, reduced_homology
+from .linalg import coeff_prime
 
 DEFAULT_CAP_FIELD = 24
 DEFAULT_CAP_EXACT = 16
@@ -187,7 +188,7 @@ def wedge_splitting(
         size_filter = set(size_filter)
         if any(s < 1 or s > K.m for s in size_filter):
             raise InputError("size filter values must lie in 1..m")
-    _coeff_kind(coeff)  # refused here too, since cones never reach the kernels
+    coeff_prime(coeff, allow_z=True)  # refused here too, since cones never reach the kernels
 
     is_cone, factors = _summand_structure(K)
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join

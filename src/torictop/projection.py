@@ -258,7 +258,7 @@ def _square_zero_class(matrix, names) -> NontrivialityVerdict:
     """The squaring-kernel verdict for a squaring map given by its rows over
     the degree-4 basis, one column per degree-2 generator in ``names``."""
     h2 = len(names)
-    kernel = linalg.kernel_basis(matrix, h2, linalg.PrimeField(2))
+    kernel = linalg.kernel_vectors(linalg.echelon(matrix, 2), h2, 2)
     if not kernel:
         return NontrivialityVerdict(
             criterion="square-zero-class",

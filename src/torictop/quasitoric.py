@@ -11,11 +11,13 @@ by the n linear forms in the rows of the characteristic matrix
 (Davis-Januszkiewicz).  The first maximal face sigma0 has a unimodular minor,
 so J solves each v_i, i in sigma0, as a linear form in the r = m - n
 remaining variables w.  Substituting these forms into the minimal non-face
-monomials leaves an ideal of k[w], reduced degree by degree with one RREF
-over the face-supported w-monomials in descending lexicographic order.  The
-basis of each degree is the set of non-pivot monomials, smallest first: the
-lexicographic standard monomials of I_K + J for the order that puts sigma0
-first, so output is deterministic.
+monomials leaves an ideal of k[w], reduced degree by degree with one echelon
+form over the face-supported w-monomials in descending lexicographic order.
+The forms and the rows are built in plain ints for every field; the
+eliminator ``linalg.echelon`` reduces them mod p on entry.  The basis of each
+degree is the set of non-pivot monomials, smallest first: the lexicographic
+standard monomials of I_K + J for the order that puts sigma0 first, so output
+is deterministic.  Products and squares are normal forms against the pivots.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class CohomologyPresentation:
     ``basis[k]`` lists exponent vectors (length m) of the monomials that
     represent a basis of degree 2k; ``mult_h2[k][s][t]`` expands the product
     of degree-2 basis element s with degree-2k basis element t over the
-    degree-2(k+1) basis.  ``squaring_cols`` (F2 only) has one column per
+    degree-2(k+1) basis, with entries in [0, p) over F_p and rationals (ints
+    or Fractions) over Q.  ``squaring_cols`` (F2 only) has one column per
     degree-2 basis element, giving its square over the degree-4 basis.
     """
 
@@ -132,8 +135,7 @@ class CohomologyPresentation:
         return out
 
     def to_json_obj(self) -> dict:
-        def ser(x):  # F_p entries are ints; Q entries are Fractions, written as strings
-            return x if isinstance(x, int) else str(x)
+        ser = str if self.coeff == "Q" else int  # Q entries are written as strings
 
         obj = {
             "coeff": self.coeff,
@@ -179,7 +181,7 @@ def cohomology_ring(
     or a bug, never a property of valid data.
     """
     require_admissible(P, lam)
-    field = linalg.field_for_tag(coeff)
+    p = linalg.coeff_prime(coeff)
     K = P.complex
     n, m = P.n, P.m
     h = h_vector_of(P).entries
@@ -196,9 +198,9 @@ def cohomology_ring(
             f"linear forms are not invertible on the first maximal face {sigma0}: {e}"
         )
     solved = linalg.matmul_int(inv, lam.column_submatrix(free), n)
-    form = {v: [field.neg(field.from_int(x)) for x in solved[i]] for i, v in enumerate(sigma0)}
+    form = {v: [-x for x in solved[i]] for i, v in enumerate(sigma0)}
     for t, v in enumerate(free):
-        form[v] = [field.one if u == t else field.zero for u in range(r)]
+        form[v] = [int(u == t) for u in range(r)]
 
     # A w-monomial whose support is a non-face lies in the ideal, and so does
     # every multiple of it: only face-supported w-monomials need a column.
@@ -212,20 +214,21 @@ def cohomology_ring(
     for s in K.minimal_non_faces():
         if not s & sigma0_mask:
             continue  # a non-face monomial in w alone
-        poly = {(0,) * r: field.one}
+        poly = {(0,) * r: 1}
         for v in range(1, m + 1):
             if s >> (v - 1) & 1:
                 prod: dict = {}
                 for exp, c in poly.items():
                     for t, a in enumerate(form[v]):
                         e = exp[:t] + (exp[t] + 1,) + exp[t + 1 :]
-                        if not field.is_zero(a) and supported(e):
-                            prod[e] = field.add(prod.get(e, field.zero), field.mul(c, a))
+                        if a and supported(e):
+                            prod[e] = prod.get(e, 0) + c * a
                 poly = prod
         images.append((s.bit_count(), poly))
 
-    # Per degree, one RREF over the w-monomials, largest first: the pivots are
-    # the lex leading terms of the ideal, the rest its standard monomials.
+    # Per degree, one echelon form over the w-monomials, largest first: the
+    # pivots are the lex leading terms of the ideal, the rest its standard
+    # monomials.  The rows hold ints; the eliminator reduces them mod p.
     bits = [1 << (v - 1) for v in free]
     monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
     systems, w_basis = [], []
@@ -234,31 +237,30 @@ def cohomology_ring(
         rows = []
         for d, poly in images:
             for alpha in monomials[k - d] if k >= d else ():
-                row = [field.zero] * len(cols)
+                row = [0] * len(cols)
                 for exp, c in poly.items():
                     idx = col_index.get(tuple(a + b for a, b in zip(alpha, exp)))
                     if idx is not None:
                         row[idx] = c
                 rows.append(row)
-        rref_rows, pivots = linalg.rref(rows, len(cols), field)
-        pivot_set = set(pivots)
-        basis_cols = [c for c in reversed(range(len(cols))) if c not in pivot_set]
+        pivots = linalg.echelon(rows, p)
+        basis_cols = [c for c in reversed(range(len(cols))) if c not in pivots]
         want = h[k] if k <= n else 0
         if len(basis_cols) != want:
             raise ConsistencyError(
                 f"degree {2 * k} has dimension {len(basis_cols)}, "
                 f"h-vector predicts {want}"
             )
-        systems.append((col_index, rref_rows, pivots, basis_cols))
+        systems.append((col_index, pivots, basis_cols))
         w_basis.append([cols[c] for c in basis_cols])
 
     def normal_form(alpha):
-        col_index, rref_rows, pivots, basis_cols = systems[sum(alpha)]
+        col_index, pivots, basis_cols = systems[sum(alpha)]
         if alpha not in col_index:
-            return (field.zero,) * len(basis_cols)
-        vec = [field.zero] * len(col_index)
-        vec[col_index[alpha]] = field.one
-        red = linalg.reduce_against(vec, rref_rows, pivots, field)
+            return (0,) * len(basis_cols)
+        vec = [0] * len(col_index)
+        vec[col_index[alpha]] = 1
+        red = linalg.normal_form(vec, pivots, p)
         return tuple(red[c] for c in basis_cols)
 
     def embed(alpha):

@@ -3,8 +3,10 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Three exceptions are kept as differential oracles for the code that
-replaced them: ``face_ring_cohomology``, the library's previous cohomology
+Four exceptions are kept as differential oracles for the code that
+replaced them: the dense field kernel (``rref``, ``reduce_against``,
+``kernel_basis`` and the field objects) for the sparse eliminator in
+``linalg``; ``face_ring_cohomology``, the library's previous cohomology
 engine, for ``cohomology_ring``; ``per_subset_wedge_splitting``, the
 previous wedge splitting that builds and reduces every full subcomplex, for
 ``wedge_splitting``; and the symbolic mod-2 presentations
@@ -15,6 +17,7 @@ previous wedge splitting that builds and reduces every full subcomplex, for
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +71,6 @@ def h_from_f_polynomial(f_entries, n) -> tuple[int, ...]:
         # (t-1)^(n-i)
         e = n - i
         for d in range(e + 1):
-            import math
-
             poly[d] += f_entries[i] * math.comb(e, d) * (-1) ** (e - d)
     return tuple(poly[n - k] for k in range(n + 1))
 
@@ -136,6 +137,141 @@ def mod_p_rank(rows, p) -> int:
             A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# The dense field kernel the library used before its sparse eliminator:
+# field objects, RREF, normal forms and kernels.  It is the oracle of
+# ``linalg.echelon``, ``normal_form`` and ``kernel_vectors``, and the field
+# arithmetic of the oracles below, which so share no code with the engine.
+
+
+class PrimeField:
+    """Arithmetic in F_p with elements stored as ints in [0, p)."""
+
+    def __init__(self, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.zero = 0
+        self.one = 1 % p
+
+    def from_int(self, a: int) -> int:
+        return a % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError
+        return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a) -> bool:
+        return a % self.p == 0
+
+
+class RationalField:
+    """Arithmetic in Q via Fraction."""
+
+    zero, one, from_int = Fraction(0), Fraction(1), Fraction
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    def inv(self, a):
+        return self.one / a
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return a == 0
+
+
+def field_for_tag(coeff: str):
+    """Map a coefficient tag ('Q', 'F2', 'F3', ...) to a field object."""
+    if coeff == "Q":
+        return RationalField()
+    if coeff.startswith("F") and coeff[1:].isdecimal():
+        return PrimeField(int(coeff[1:]))
+    raise InputError(f"unknown coefficient tag {coeff!r}; use 'Q' or 'F<p>'")
+
+
+def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form: (reduced nonzero rows, pivot columns).
+
+    Every pivot row is zero in the other pivot columns, so the result depends
+    only on the row space, not on the order of the input rows.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    m = len(work)
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if not field.is_zero(work[i][c])), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][c])
+        prow = work[r] = [field.mul(inv, x) for x in work[r]]
+        support = [j for j, x in enumerate(prow) if not field.is_zero(x)]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and not field.is_zero(f):
+                for j in support:
+                    row[j] = field.sub(row[j], field.mul(f, prow[j]))
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return work[:r], pivots
+
+
+def reduce_against(vec: list, rref_rows: list[list], pivots: list[int], field) -> list:
+    """Normal form of vec modulo the row space given in RREF."""
+    v = list(vec)
+    for row, p in zip(rref_rows, pivots):
+        c = v[p]
+        if not field.is_zero(c):
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def kernel_basis(rows: list[list], ncols: int, field) -> list[list]:
+    """Basis of the right kernel of the matrix, one vector per free column."""
+    red, pivots = rref(rows, ncols, field)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = field.neg(row[f])
+        basis.append(v)
+    return basis
 
 
 def brute_boundaries(maximal_faces):
@@ -261,7 +397,7 @@ class _DegreeSystem:
         return tuple(self.cols[c] for c in self.basis_cols)
 
     def normal_form(self, vec):
-        red = linalg.reduce_against(vec, self.rref_rows, self.pivots, self.field)
+        red = reduce_against(vec, self.rref_rows, self.pivots, self.field)
         return tuple(red[c] for c in self.basis_cols)
 
 
@@ -280,7 +416,7 @@ def face_ring_cohomology(
             f"characteristic matrix fails on face {report.failing_face} "
             f"(determinant {report.failing_det})"
         )
-    field = linalg.field_for_tag(coeff)
+    field = field_for_tag(coeff)
     K = P.complex
     n, m = P.n, P.m
     h = h_vector_of(P).entries
@@ -353,7 +489,7 @@ def face_ring_cohomology(
                         hit = True
                     if hit:
                         rows.append(vec)
-        rref_rows, pivots = linalg.rref(rows, len(cols), field)
+        rref_rows, pivots = rref(rows, len(cols), field)
         basis_cols = [c for c in range(len(cols)) if c not in set(pivots)]
         basis_cols.reverse()  # ascending priority order: smallest monomials first
         systems[k] = _DegreeSystem(cols, col_index, rref_rows, pivots, basis_cols, field)
@@ -577,7 +713,7 @@ def product_presentation(n: int, kprime: int, ell: int) -> QuadraticPresentation
         r1 = _poly_mul(r1, x_plus_y)
     r2 = {(0, n - kprime + 1): 1}
     relations = [r1, r2]
-    field = linalg.PrimeField(2)
+    field = PrimeField(2)
 
     def degree_system(d):
         cols = [(d - j, j) for j in range(d + 1)]
@@ -593,7 +729,7 @@ def product_presentation(n: int, kprime: int, ell: int) -> QuadraticPresentation
                 for (i, j), c in r.items():
                     vec[col_index[(i + extra - t, j + t)]] ^= c
                 rows.append(vec)
-        rref_rows, pivots = linalg.rref(rows, len(cols), field)
+        rref_rows, pivots = rref(rows, len(cols), field)
         basis_cols = [c for c in range(len(cols)) if c not in set(pivots)]
         return cols, rref_rows, pivots, basis_cols
 
@@ -604,7 +740,7 @@ def product_presentation(n: int, kprime: int, ell: int) -> QuadraticPresentation
         i, j = cols1[c]
         vec = [0] * len(cols2)
         vec[cols2.index((2 * i, 2 * j))] = 1
-        red = linalg.reduce_against(vec, rr2, pv2, field)
+        red = reduce_against(vec, rr2, pv2, field)
         sq_cols.append(tuple(red[cc] for cc in b2))
     squaring = tuple(
         tuple(col[r] for col in sq_cols) for r in range(len(b2))

@@ -400,11 +400,11 @@ sys.exit(code)
 """
 
 
-def modules_loaded_by(*argv):
+def modules_loaded_by(*argv, flags=()):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", LOADED_BY_ONE_CALL, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", LOADED_BY_ONE_CALL, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
@@ -427,6 +427,29 @@ def test_zk_over_z_loads_only_what_it_runs(tmp_path):
     assert "torictop.momentangle" in loaded
     assert not loaded & {"fractions", "torictop.projection", "torictop.quasitoric",
                          "torictop.splitting", "importlib.resources"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zk", "--fixture", "polygon6", "--coeff", "F2"],
+        ["qtm", "--fixture", "cp2", "--coeff", "F3"],
+        ["nontrivial", "--fixture", "bott3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_calls_over_f_p_load_no_fractions(argv):
+    # the field eliminator imports fractions only for Q
+    assert "fractions" not in modules_loaded_by(*argv)
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=("site", "no-site"))
+def test_fixture_calls_load_no_importlib_resources(flags):
+    # bundled fixtures are read from the directory next to the module; without
+    # site, a .pth file that imports importlib.resources cannot hide the cost
+    loaded = modules_loaded_by("hvec", "--fixture", "polygon6", flags=flags)
+    assert not {m for m in loaded if m.startswith("importlib.resources")}
+    assert "zipfile" not in loaded
 
 
 @pytest.mark.parametrize(

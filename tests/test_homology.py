@@ -19,7 +19,7 @@ from torictop import (
     validate_complex,
 )
 from torictop import fixtures, linalg
-from torictop.homology import _coeff_kind, boundary_matrices, homology, merge_torsion
+from torictop.homology import boundary_matrices, homology, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -272,7 +272,7 @@ def test_large_primes_give_exact_ranks():
     # range, up to the bound of the exact primality test, give exact ranks
     for p in (nextprime(2**40), 2**61 - 1, nextprime(10**24)):
         assert p < linalg.PRIME_BOUND
-        assert _coeff_kind(f"F{p}") == ("Fp", p)
+        assert linalg.coeff_prime(f"F{p}") == p
         rng = random.Random(2)
         for _ in range(100):
             # a sum of two outer products: rank 2 over Q and, generically, mod p
@@ -306,6 +306,6 @@ def test_is_prime_is_exact_below_its_bound():
     with pytest.raises(ValueError):
         linalg.is_prime(linalg.PRIME_BOUND)
     with pytest.raises(InputError, match=str(linalg.PRIME_BOUND)):
-        _coeff_kind(f"F{linalg.PRIME_BOUND}")
+        linalg.coeff_prime(f"F{linalg.PRIME_BOUND}")
     with pytest.raises(InputError, match="does not name a prime"):
-        _coeff_kind("F318665857834031151167461")
+        linalg.coeff_prime("F318665857834031151167461")

@@ -1,38 +1,83 @@
 import random
 
-from torictop.linalg import PrimeField, RationalField, kernel_basis, rref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import PrimeField, RationalField, kernel_basis, reduce_against, rref
+from torictop.linalg import echelon, kernel_vectors, normal_form
+
+FIELDS = (2, 3, 5, 7, 0)  # the p of echelon; 0 is Q
 
 
 def random_matrix(rng, rows, cols):
     return [[rng.choice((0, 0, 1, 2, -1)) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_rref_rows_are_fully_reduced_and_independent_of_row_order():
+def dot(row, v, p):
+    total = sum(a * b for a, b in zip(row, v))
+    return total % p if p else total
+
+
+def test_echelon_rows_are_normalised_and_independent_of_row_order():
     rng = random.Random(3)
-    for field in (PrimeField(2), PrimeField(3), RationalField()):
+    for p in (2, 3, 0):
         for _ in range(50):
-            rows = [[field.from_int(x) for x in r] for r in random_matrix(rng, 4, 6)]
-            red, pivots = rref(rows, 6, field)
-            for i, (row, p) in enumerate(zip(red, pivots)):
-                assert row[p] == field.one
-                assert all(field.is_zero(other[p]) for j, other in enumerate(red) if j != i)
-            assert rref(rows[::-1], 6, field) == (red, pivots)
+            rows = random_matrix(rng, 4, 6)
+            pivots = echelon(rows, p)
+            for c, prow in pivots.items():
+                assert prow[0] == (c, 1)  # entry 1 at the pivot, nothing left of it
+                assert all(j > c and y for j, y in prow[1:])
+            shuffled = rows[::-1]
+            assert sorted(echelon(shuffled, p)) == sorted(pivots)
+            # normal forms are fully reduced and do not depend on the row order
+            for vec in random_matrix(rng, 3, 6):
+                red = normal_form(vec, pivots, p)
+                assert all(red[c] == 0 for c in pivots)
+                assert normal_form(vec, echelon(shuffled, p), p) == red
 
 
-def test_kernel_basis_vectors_lie_in_the_kernel():
-    f2 = PrimeField(2)
+def test_kernel_vectors_lie_in_the_kernel():
     # an echelon row with an entry in a later pivot column
-    assert kernel_basis([[1, 1, 0], [0, 1, 1]], 3, f2) == [[1, 1, 1]]
+    assert kernel_vectors(echelon([[1, 1, 0], [0, 1, 1]], 2), 3, 2) == [[1, 1, 1]]
     rng = random.Random(4)
-    for field in (f2, PrimeField(5), RationalField()):
+    for p in (2, 5, 0):
         for _ in range(50):
-            rows = [[field.from_int(x) for x in r] for r in random_matrix(rng, 3, 5)]
-            kernel = kernel_basis(rows, 5, field)
-            _, pivots = rref(rows, 5, field)
+            rows = random_matrix(rng, 3, 5)
+            pivots = echelon(rows, p)
+            kernel = kernel_vectors(pivots, 5, p)
             assert len(kernel) == 5 - len(pivots)
             for v in kernel:
-                for row in rows:
-                    total = field.zero
-                    for a, b in zip(row, v):
-                        total = field.add(total, field.mul(a, b))
-                    assert field.is_zero(total)
+                assert all(dot(row, v, p) == 0 for row in rows)
+
+
+@st.composite
+def matrices(draw):
+    """Small integer matrices, with no rows, zero rows, zero columns and
+    duplicate rows among them."""
+    ncols = draw(st.integers(0, 7))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[c] = 0
+    vec = draw(row)
+    return ncols, rows, vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices(), st.sampled_from(FIELDS))
+def test_eliminator_matches_the_dense_oracle(mat, p):
+    ncols, rows, vec = mat
+    field = PrimeField(p) if p else RationalField()
+    dense = [[field.from_int(x) for x in r] for r in rows]
+    red, want = rref(dense, ncols, field)
+    pivots = echelon(rows, p)
+    assert sorted(pivots) == want
+    want_nf = reduce_against([field.from_int(x) for x in vec], red, want, field)
+    assert normal_form(vec, pivots, p) == want_nf
+    assert kernel_vectors(pivots, ncols, p) == kernel_basis(dense, ncols, field)

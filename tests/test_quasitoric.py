@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PrimeField,
+    RationalField,
     cube_determinant_f2,
     cube_parameters,
     cube_presentation,
     face_ring_cohomology,
     product_presentation,
+    rref,
 )
 
 from torictop import (
@@ -29,7 +32,6 @@ from torictop import (
     validate_characteristic,
 )
 from torictop import fixtures
-from torictop.linalg import PrimeField, RationalField, rref
 
 FIELDS = ("Q", "F2", "F3", "F5")
 
