@@ -111,7 +111,7 @@ def matmul_int(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# coefficient tags
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
 # PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
@@ -147,8 +147,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-
-
 def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
     """Parse a coefficient tag: p for 'F<p>' and 0 for 'Q', the ``p`` of
     ``echelon``, and None for 'Z' where ``allow_z`` admits it.  'F<p>' is
@@ -179,7 +177,8 @@ def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
 
 
 def echelon(rows, p: int) -> dict[int, list[tuple[int, object]]]:
-    """Echelon form of the row space of integer rows over F_p, or Q if p is 0.
+    """Echelon form of the row space of integer rows over F_p, or Q if p is 0
+    (where rational entries are taken as well).
 
     Returns {pivot column: pivot row}, each pivot row as its nonzero
     (column, entry) pairs: entry 1 at the pivot column and nothing left of
