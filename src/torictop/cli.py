@@ -1,16 +1,7 @@
 """Command-line interface: JSON in, JSON report out.
 
-One subcommand per invocation:
-
-  hvec         f-vector, h-vector and symmetry report of a polytope
-  zk           wedge splitting and homology of the moment-angle complex
-  qtm          cohomology presentation of a quasitoric manifold
-  split        p-local wedge pieces of the suspended manifold
-  projection   residue grouping of the quotient map with certificates
-  nontrivial   one-sided non-triviality verdicts
-  cube-census  exhaust the 64 quadratic presentations over the 3-cube
-  bott         characteristic data for a tower of projective bundles
-  fixtures     list or dump the bundled inputs
+One subcommand per invocation; COMMANDS below lists them with their options,
+and ``torictop -h`` prints that list.
 
 Exit codes: 0 success, 2 input error, 3 internal-consistency failure.
 Reports are deterministic byte-for-byte for fixed inputs and version.
@@ -18,10 +9,11 @@ Reports are deterministic byte-for-byte for fixed inputs and version.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConsistencyError, InputError, require_ints
@@ -313,77 +305,124 @@ def _cmd_fixtures(args) -> dict:
     return _report("fixtures", {}, b"", {"available": listing})
 
 
-def _add_io(sub, input_required=True):
-    if input_required:
-        sub.add_argument("--input", help="path to a JSON input file")
-        sub.add_argument("--fixture", help="name of a bundled fixture")
-    sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--text", action="store_true", help="human-readable output")
+# ---------------------------------------------------------------------------
+# the command table: command -> (handler, one-line help, options) and option ->
+# (kind, metavars, default, required, help); an int or str option takes
+# len(metavars) values, a bool is a flag.  Parsing, help and usage errors read it.
+
+_OUT = {"--output": (str, ("OUTPUT",), None, False, "write the report here instead of stdout"),
+        "--text": (bool, (), False, False, "human-readable output")}
+_IO = {"--input": (str, ("INPUT",), None, False, "path to a JSON input file"),
+       "--fixture": (str, ("FIXTURE",), None, False, "name of a bundled fixture"), **_OUT}
+_P = {"--p": (int, ("P",), None, True, "odd prime")}
+_CAP = {"--cap": (int, ("CAP",), None, False, "override the enumeration cap")}
+COMMANDS = {
+    "hvec": (_cmd_hvec, "f-vector and h-vector of a polytope", _IO),
+    "zk": (_cmd_zk, "moment-angle wedge splitting and homology", {
+        **_IO, "--coeff": (str, ("COEFF",), "Z", False, "Z, Q or F<p> (default Z)"),
+        "--sizes": (str, ("SIZES",), None, False, "comma-separated |I| filter, e.g. 2,3"), **_CAP}),
+    "qtm": (_cmd_qtm, "cohomology presentation of a quasitoric manifold", {
+        **_IO, "--coeff": (str, ("COEFF",), "Q", False, "Q or F<p> (default Q)")}),
+    "split": (_cmd_split, "p-local pieces of the suspended manifold", {**_IO, **_P,
+        "--u": (int, ("U",), None, False, "override the primitive root (validated, no effect)")}),
+    "projection": (_cmd_projection, "suspended quotient map certificates", {**_IO, **_P, **_CAP}),
+    "nontrivial": (_cmd_nontrivial, "one-sided non-triviality verdicts", {**_IO,
+        "--two-simplices": (int, ("N", "K"), None, False,
+            "run the arithmetic test for a product of simplices instead of a file")}),
+    "cube-census": (_cmd_cube_census, "all quadratic presentations over the 3-cube", _OUT),
+    "bott": (_cmd_bott, "characteristic data for a projective-bundle tower", _IO),
+    "fixtures": (_cmd_fixtures, "list or dump bundled fixtures", {
+        "--name": (str, ("NAME",), None, False, "dump this fixture instead of listing"), **_OUT}),
+}
+_HELP = (bool, (), False, False, "show this help message and exit")
+_VERSION = {"--version": (bool, (), False, False, "show the version and exit")}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="torictop", description=__doc__.split("\n")[0])
-    ap.add_argument("--version", action="version", version=f"torictop {__version__}")
-    subs = ap.add_subparsers(dest="command", required=True)
+def _usage(command=None) -> str:
+    if not command:
+        return "usage: torictop [-h] [--version] {%s} ..." % ",".join(COMMANDS)
+    words = ((" ".join((o, *spec[1])), spec[3]) for o, spec in COMMANDS[command][2].items())
+    return f"usage: torictop {command} [-h] " + " ".join(w if req else f"[{w}]" for w, req in words)
 
-    s = subs.add_parser("hvec", help="f-vector and h-vector of a polytope")
-    _add_io(s)
-    s.set_defaults(func=_cmd_hvec)
 
-    s = subs.add_parser("zk", help="moment-angle wedge splitting and homology")
-    _add_io(s)
-    s.add_argument("--coeff", default="Z", help="Z, Q or F<p> (default Z)")
-    s.add_argument("--sizes", help="comma-separated |I| filter, e.g. 2,3")
-    s.add_argument("--cap", type=int, help="override the enumeration cap")
-    s.set_defaults(func=_cmd_zk)
+def _help(command=None) -> str:
+    summary, options = COMMANDS[command][1:] if command else (__doc__.split("\n")[0], _VERSION)
+    rows = [] if command else [("commands:", None), *((c, s[1]) for c, s in COMMANDS.items())]
+    rows += [("options:", None), *((" ".join((o, *s[1])), s[4])
+                                   for o, s in {"-h, --help": _HELP, **options}.items())]
+    width = max(len(name) for name, text in rows if text)
+    return f"{_usage(command)}\n\n{summary}\n" + "".join(
+        f"\n{name}\n" if text is None else f"  {name:<{width}}  {text}\n" for name, text in rows)
 
-    s = subs.add_parser("qtm", help="cohomology presentation of a quasitoric manifold")
-    _add_io(s)
-    s.add_argument("--coeff", default="Q", help="Q or F<p> (default Q)")
-    s.set_defaults(func=_cmd_qtm)
 
-    s = subs.add_parser("split", help="p-local pieces of the suspended manifold")
-    _add_io(s)
-    s.add_argument("--p", type=int, required=True, help="odd prime")
-    s.add_argument("--u", type=int, help="override the primitive root (validated, no effect)")
-    s.set_defaults(func=_cmd_split)
+def _exit(code: int, text: str, command=None):
+    (sys.stderr if code else sys.stdout).write(
+        f"{_usage(command)}\ntorictop: error: {text}\n" if code else text)
+    raise SystemExit(code)
 
-    s = subs.add_parser("projection", help="certificates for the suspended quotient map")
-    _add_io(s)
-    s.add_argument("--p", type=int, required=True, help="odd prime")
-    s.add_argument("--cap", type=int, help="override the enumeration cap")
-    s.set_defaults(func=_cmd_projection)
 
-    s = subs.add_parser("nontrivial", help="one-sided non-triviality verdicts")
-    _add_io(s, input_required=True)
-    s.add_argument(
-        "--two-simplices", nargs=2, type=int, metavar=("N", "K"),
-        help="run the arithmetic test for a product of simplices instead of a file",
-    )
-    s.set_defaults(func=_cmd_nontrivial)
+def _classify(token: str, names, command):
+    """(option, explicit value) for a token naming one of ``names``, (None, None)
+    for an unknown option, None for a value; a long option may be abbreviated."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    exact = token if token in names else head if eq and head in names else None
+    hits = [exact] if exact else [o for o in names if token[1] == "-" and o.startswith(head)]
+    if len(hits) > 1:
+        _exit(2, f"ambiguous option: {token} could match {', '.join(hits)}", command)
+    if hits:
+        return hits[0], value if eq and hits[0] != token else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
 
-    s = subs.add_parser("cube-census", help="all quadratic presentations over the 3-cube")
-    _add_io(s, input_required=False)
-    s.set_defaults(func=_cmd_cube_census)
 
-    s = subs.add_parser("bott", help="characteristic data for a projective-bundle tower")
-    _add_io(s)
-    s.set_defaults(func=_cmd_bott)
+def _read(tokens: list[str], options: dict, command):
+    """The values of ``options`` in ``tokens`` and the tokens left over.  Help, and
+    --version before the command, exit at once; the last of a repeated option wins."""
+    names = {"-h": _HELP, "--help": _HELP, **(options if command else _VERSION)}
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(t, names, command) for t in tokens[:cut]]  # all before any is read
+    kinds += [(None, None)] + [None] * len(tokens)  # "--" is left over, never a value
+    values, extras, i = {o: spec[2] for o, spec in options.items()}, [], 0
+    while i < len(tokens):
+        (name, explicit), i = kinds[i] or (None, None), i + 1
+        if name is None:
+            extras.append(tokens[i - 1])
+            continue
+        kind, n = names[name][0], len(names[name][1])
+        got, i = ([explicit], i) if explicit is not None else (tokens[i:i + n], i + n)
+        if len(got) != n or explicit is None and any(kinds[i - n:i]):
+            _exit(2, f"argument {name}: expects {n or 'no'} value{'s' * (n != 1)}", command)
+        if name not in options:
+            _exit(0, f"torictop {__version__}\n" if name == "--version" else _help(command))
+        try:
+            got = [kind(v) for v in got]
+        except ValueError:
+            _exit(2, f"argument {name}: invalid {kind.__name__} value: {' '.join(got)!r}", command)
+        values[name] = got[0] if n == 1 else got or True
+    return values, extras
 
-    s = subs.add_parser("fixtures", help="list or dump bundled fixtures")
-    s.add_argument("--name", help="dump this fixture instead of listing")
-    s.add_argument("--output", help="write the report here instead of stdout")
-    s.add_argument("--text", action="store_true", help="human-readable output")
-    s.set_defaults(func=_cmd_fixtures)
 
-    return ap
+def _parse(argv: list[str]):
+    """The handler that ``argv`` selects and the options it reads."""
+    top = ("-h", "--help", *_VERSION)
+    k = next((i for i, t in enumerate(argv) if t == "--" or not _classify(t, top, None)), len(argv))
+    extras = _read(argv[:k], {}, None)[1]
+    if k == len(argv) or argv[k] not in COMMANDS:
+        _exit(2, f"choose a command from {', '.join(COMMANDS)}")
+    command, (func, _, options) = argv[k], COMMANDS[argv[k]]
+    values, more = _read(argv[k + 1:], options, command)
+    missing = [o for o, spec in options.items() if spec[3] and values[o] is None]
+    if missing or extras or more:
+        _exit(2, f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(extras + more)}", command)
+    return func, SimpleNamespace(**{o[2:].replace("-", "_"): v for o, v in values.items()})
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    func, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        _emit(args.func(args), args)
+        _emit(func(args), args)
     except InputError as e:
         print(f"torictop: input error: {e}", file=sys.stderr)
         return 2

@@ -228,12 +228,12 @@ class GradedHomology:
 
 
 def _homology_from_boundaries(
-    boundaries: list[IntegerMatrix], dims: list[int], base_degree: int, coeff: str
+    boundaries: list[IntegerMatrix], dims: list[int], base_degree: int, coeff: str, p=None
 ) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
     boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.
     Trusts the maps to chain and to compose to zero (see chain_homology)."""
-    p = linalg.coeff_prime(coeff, allow_z=True)
+    p = linalg.coeff_prime(coeff, allow_z=True) if p is None else p
     torsion = [()] * len(boundaries)
     if p is None:
         snfs = [smith_normal_form(mat) for mat in boundaries]
@@ -307,17 +307,18 @@ def boundary_matrices(K: SimplicialComplex) -> tuple[list[IntegerMatrix], list[i
     return mats, dims
 
 
-def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
+def reduced_homology(K: SimplicialComplex, coeff: str = "Z", p=None) -> GradedHomology:
     """Reduced simplicial homology of |K|.
 
     The augmented complex makes the conventions uniform: a complex with two
     isolated vertices has rank 1 in degree 0, and the empty complex (only
-    the empty face) has rank 1 in degree -1.
+    the empty face) has rank 1 in degree -1.  A caller reducing many complexes
+    passes ``p = linalg.coeff_prime(coeff, allow_z=True)`` to parse the tag once.
     """
     mats, dims = boundary_matrices(K)
     if not mats:  # only the empty face
         return GradedHomology.from_dict(coeff, {-1: (1, ())})
-    return _homology_from_boundaries(mats, dims, -1, coeff)
+    return _homology_from_boundaries(mats, dims, -1, coeff, p)
 
 
 def homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:

@@ -181,14 +181,13 @@ def wedge_splitting(
     """
     limit = _cap_for(coeff, cap)
     if K.m > limit:
-        raise CapExceededError(
-            f"m={K.m} exceeds the enumeration cap {limit}; pass a larger cap to override"
-        )
+        raise CapExceededError(f"m={K.m} exceeds the enumeration cap {limit}: it would enumerate "
+                               f"{(1 << K.m) - 1} subsets; pass a larger cap to override")
     if size_filter is not None:
         size_filter = set(size_filter)
         if any(s < 1 or s > K.m for s in size_filter):
             raise InputError("size filter values must lie in 1..m")
-    coeff_prime(coeff, allow_z=True)  # refused here too, since cones never reach the kernels
+    p = coeff_prime(coeff, allow_z=True)  # parsed once; refused even if every summand is a cone
 
     is_cone, factors = _summand_structure(K)
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join
@@ -196,7 +195,7 @@ def wedge_splitting(
 
     def piece(mask: int) -> GradedHomology:
         if mask not in pieces:
-            pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+            pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff, p)
         return pieces[mask]
 
     summands: list[WedgeSummand] = []
@@ -211,7 +210,7 @@ def wedge_splitting(
         if cone:
             hom = GradedHomology(coeff, ())
         elif len(factors) == 1:
-            hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+            hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff, p)
         else:
             hom = unit
             for V in factors:

@@ -3,8 +3,9 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Four exceptions are kept as differential oracles for the code that
-replaced them: the dense field kernel (``rref``, ``reduce_against``,
+Five exceptions are kept as differential oracles for the code that
+replaced them: ``build_parser``, the argparse parser of the CLI, for the
+table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``reduce_against``,
 ``kernel_basis`` and the field objects) for the sparse eliminator in
 ``linalg``; ``face_ring_cohomology``, the library's previous cohomology
 engine, for ``cohomology_ring``; ``per_subset_wedge_splitting``, the
@@ -16,13 +17,25 @@ previous wedge splitting that builds and reduces every full subcomplex, for
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from torictop import linalg
+from torictop import __version__, cli, linalg
+from torictop.cli import (
+    _cmd_bott,
+    _cmd_cube_census,
+    _cmd_fixtures,
+    _cmd_hvec,
+    _cmd_nontrivial,
+    _cmd_projection,
+    _cmd_qtm,
+    _cmd_split,
+    _cmd_zk,
+)
 from torictop.complexes import (
     PolytopeDual,
     SimplicialComplex,
@@ -787,3 +800,74 @@ def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPres
     c, d = Bbar[1][0], Bbar[1][2]
     e, f = Bbar[2][0], Bbar[2][1]
     return cube_presentation(a, b, c, d, e, f)
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser the CLI had before its table-driven parser, unchanged
+# but for the module docstring it reads
+
+
+def _add_io(sub, input_required=True):
+    if input_required:
+        sub.add_argument("--input", help="path to a JSON input file")
+        sub.add_argument("--fixture", help="name of a bundled fixture")
+    sub.add_argument("--output", help="write the report here instead of stdout")
+    sub.add_argument("--text", action="store_true", help="human-readable output")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="torictop", description=cli.__doc__.split("\n")[0])
+    ap.add_argument("--version", action="version", version=f"torictop {__version__}")
+    subs = ap.add_subparsers(dest="command", required=True)
+
+    s = subs.add_parser("hvec", help="f-vector and h-vector of a polytope")
+    _add_io(s)
+    s.set_defaults(func=_cmd_hvec)
+
+    s = subs.add_parser("zk", help="moment-angle wedge splitting and homology")
+    _add_io(s)
+    s.add_argument("--coeff", default="Z", help="Z, Q or F<p> (default Z)")
+    s.add_argument("--sizes", help="comma-separated |I| filter, e.g. 2,3")
+    s.add_argument("--cap", type=int, help="override the enumeration cap")
+    s.set_defaults(func=_cmd_zk)
+
+    s = subs.add_parser("qtm", help="cohomology presentation of a quasitoric manifold")
+    _add_io(s)
+    s.add_argument("--coeff", default="Q", help="Q or F<p> (default Q)")
+    s.set_defaults(func=_cmd_qtm)
+
+    s = subs.add_parser("split", help="p-local pieces of the suspended manifold")
+    _add_io(s)
+    s.add_argument("--p", type=int, required=True, help="odd prime")
+    s.add_argument("--u", type=int, help="override the primitive root (validated, no effect)")
+    s.set_defaults(func=_cmd_split)
+
+    s = subs.add_parser("projection", help="certificates for the suspended quotient map")
+    _add_io(s)
+    s.add_argument("--p", type=int, required=True, help="odd prime")
+    s.add_argument("--cap", type=int, help="override the enumeration cap")
+    s.set_defaults(func=_cmd_projection)
+
+    s = subs.add_parser("nontrivial", help="one-sided non-triviality verdicts")
+    _add_io(s, input_required=True)
+    s.add_argument(
+        "--two-simplices", nargs=2, type=int, metavar=("N", "K"),
+        help="run the arithmetic test for a product of simplices instead of a file",
+    )
+    s.set_defaults(func=_cmd_nontrivial)
+
+    s = subs.add_parser("cube-census", help="all quadratic presentations over the 3-cube")
+    _add_io(s, input_required=False)
+    s.set_defaults(func=_cmd_cube_census)
+
+    s = subs.add_parser("bott", help="characteristic data for a projective-bundle tower")
+    _add_io(s)
+    s.set_defaults(func=_cmd_bott)
+
+    s = subs.add_parser("fixtures", help="list or dump bundled fixtures")
+    s.add_argument("--name", help="dump this fixture instead of listing")
+    s.add_argument("--output", help="write the report here instead of stdout")
+    s.add_argument("--text", action="store_true", help="human-readable output")
+    s.set_defaults(func=_cmd_fixtures)
+
+    return ap

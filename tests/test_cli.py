@@ -16,7 +16,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from torictop import __version__, fixtures
-from torictop.cli import input_digest, main, run
+from torictop.cli import COMMANDS, _parse, input_digest, main, run
 from torictop.complexes import join, simplex_boundary
 from torictop.errors import ConsistencyError
 
@@ -194,7 +194,8 @@ def test_projection_error_precedence(capsys, tmp_path):
         (("--input", str(bad), "--p", "3"), not_admissible),
         (("--input", str(bad), "--p", "5", "--cap", "2"), not_admissible),
         (("--fixture", "cp2", "--p", "5", "--cap", "2"),
-         "m=3 exceeds the enumeration cap 2; pass a larger cap to override"),
+         "m=3 exceeds the enumeration cap 2: it would enumerate 7 subsets; "
+         "pass a larger cap to override"),
     ]
     for argv, message in cases:
         rc = main(["projection", *argv])
@@ -343,6 +344,18 @@ def test_zk_accepts_prime_beyond_int64(capsys):
     assert json.loads(proc.stdout)["results"]["total"] == want
 
 
+def test_zk_tests_the_prime_of_its_tag_once(capsys, monkeypatch):
+    # the splitting parses the tag once and hands p to every summand's kernel
+    from torictop import linalg
+
+    tested = []
+    is_prime = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert main(["zk", "--fixture", "polygon8", "--coeff", "F1099511627791"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["summands"]
+    assert tested == [1099511627791]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -413,11 +426,17 @@ def modules_loaded_by(*argv, flags=()):
 HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
+# what the standard library's argument parser loads; the CLI's own parser needs none of it
+PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
+
+
 def test_version_loads_no_compute_module():
-    loaded = modules_loaded_by("--version")
-    assert {m for m in loaded if m.startswith("torictop")} <= {
-        "torictop", "torictop.cli", "torictop.errors"}
-    assert not loaded & {"dataclasses", "inspect"}
+    # help, top level and per command, comes from the command table alone too
+    for argv in (["--version"], ["--help"], ["zk", "-h"]):
+        loaded = modules_loaded_by(*argv)
+        assert {m for m in loaded if m.startswith("torictop")} <= {
+            "torictop", "torictop.cli", "torictop.errors"}, argv
+        assert not loaded & {"dataclasses", "inspect", *PARSER_MODULES}, argv
 
 
 def test_zk_over_z_loads_only_what_it_runs(tmp_path):
@@ -472,7 +491,7 @@ def test_no_subcommand_loads_dataclasses(argv, tmp_path):
     tower.write_text('{"dims": [1, 2]}')
     argv = [str(tower) if a == "TOWER" else a for a in argv]
     loaded = modules_loaded_by(*argv)
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", *PARSER_MODULES}
     # the input digest takes the builtin SHA-256, never OpenSSL's, which is slow to load
     if HAS_BUILTIN_SHA256:
         assert "_hashlib" not in loaded
@@ -734,3 +753,85 @@ def test_fuzzed_json_exits_0_or_2(command, obj):
     with tempfile.TemporaryDirectory() as tmp:
         rc, err = run_on_json(tmp, [command, *FUZZ_COMMANDS[command]], obj)
     assert rc in (0, 2), err
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser against the argparse parser it replaced
+
+
+def parse_outcome(parse, argv):
+    """(exit code, handler, options) of one parse; the code is 0 and the
+    handler None after help or --version, and both are None on success."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            func, options = parse(argv)
+        except SystemExit as e:
+            return e.code, None, None
+    return None, func, options
+
+
+def oracle_parse(argv):
+    from conftest import build_parser
+
+    ns = vars(build_parser().parse_args(argv))
+    func = ns.pop("func")
+    del ns["command"]
+    return func, ns
+
+
+def table_parse(argv):
+    func, args = _parse(argv)
+    return func, vars(args)
+
+
+LONG_OPTIONS = sorted({o for _, _, options in COMMANDS.values() for o in options}
+                      | {"--help", "--version"})
+OPTION_TOKENS = [*LONG_OPTIONS, "-h", "--", "-x", "--no-such-flag"]
+PREFIX_TOKENS = sorted({o[:k] for o in LONG_OPTIONS for k in range(3, len(o))})
+EQUALS_TOKENS = sorted({f"{o}={v}" for o in LONG_OPTIONS for v in ("3", "-3", "x", "")}
+                       | {f"{o[:3]}={v}" for o in LONG_OPTIONS for v in ("5", "F3")})
+INT_VALUES = ["0", "3", "5", "17", "-3", "-1"]
+ARG_VALUES = [*INT_VALUES, "Z", "Q", "F2", "x", "polygon6", "2,3", "-1.5", "", "-", "--"]
+
+
+@st.composite
+def argvs(draw):
+    """A command name, a bogus one or a top-level option, then a few options.
+    Half are the command's own, perhaps abbreviated, with as many values as
+    they take, one of them perhaps after "="; the rest are any option token,
+    followed by up to two values."""
+    argv = [draw(st.sampled_from([*COMMANDS, "bogus", "-h", "--version"]))]
+    options = COMMANDS[argv[0]][2] if argv[0] in COMMANDS else {}
+    for _ in range(draw(st.integers(0, 3))):
+        if options and draw(st.booleans()):
+            name = draw(st.sampled_from(sorted(options)))
+            kind, metavars = options[name][:2]
+            pool = INT_VALUES if kind is int else ARG_VALUES
+            values = [draw(st.sampled_from(pool)) for _ in metavars]
+            name = name[:draw(st.integers(3, len(name)))]
+            if len(values) == 1 and draw(st.booleans()):
+                argv.append(f"{name}={values[0]}")
+            else:
+                argv += [name, *values]
+        else:
+            argv.append(draw(st.sampled_from(OPTION_TOKENS) | st.sampled_from(PREFIX_TOKENS)
+                             | st.sampled_from(EQUALS_TOKENS)))
+            argv += [draw(st.sampled_from(ARG_VALUES)) for _ in range(draw(st.integers(0, 2)))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(argv=argvs())
+def test_parser_agrees_with_argparse(argv):
+    # same exit code; on success, the same handler and every option it reads.
+    # argparse drops an explicit "--" value and passes [] on (see below).
+    assume(not any(token.endswith("=--") for token in argv))
+    assert parse_outcome(table_parse, argv) == parse_outcome(oracle_parse, argv), argv
+
+
+def test_an_explicit_double_dash_is_a_value(capsys):
+    # argparse made "--coeff=--" an empty list, and the handler a traceback
+    assert table_parse(["qtm", "--coeff=--"])[1]["coeff"] == "--"
+    assert main(["qtm", "--fixture", "cp2", "--coeff=--"]) == 2
+    assert "unknown coefficient tag '--'" in capsys.readouterr().err
