@@ -32,8 +32,32 @@ INPUTS = {
     "tower_11_twisted.json": b'{"dims": [1, 1], "params": [[], [[2]]]}',
     "tower_221.json": b'{"dims": [2, 2, 1], "params": [[], [[1, -1]], [[2], [1]]]}',
     "tower_23.json": b'{"dims": [2, 3], "params": [[], [[1, 0, 2]]]}',
+    # the 6-vertex RP^2, whose H_1 is Z/2: no bundled fixture has torsion
+    "rp2.json": b'{"m": 6, "facets": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6], '
+                b'[2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6]]}',
+    # RP^2 * S^0, the suspension of RP^2 on the two new vertices 7 and 8
+    "rp2_s0.json": b'{"m": 8, "facets": [[1, 2, 3, 7], [1, 2, 3, 8], [1, 2, 6, 7], [1, 2, 6, 8], '
+                   b'[1, 3, 4, 7], [1, 3, 4, 8], [1, 4, 5, 7], [1, 4, 5, 8], [1, 5, 6, 7], '
+                   b'[1, 5, 6, 8], [2, 3, 5, 7], [2, 3, 5, 8], [2, 4, 5, 7], [2, 4, 5, 8], '
+                   b'[2, 4, 6, 7], [2, 4, 6, 8], [3, 4, 6, 7], [3, 4, 6, 8], [3, 5, 6, 7], '
+                   b'[3, 5, 6, 8]]}',
+    # bench/workloads.py stacked_sphere(4, 10, random.Random(1)): the boundary
+    # of a stacked 4-polytope, as the zk-spheres ladder builds it
+    "stacked_4_10.json": b'{"m": 10, "facets": [[1, 2, 3, 6], [1, 2, 3, 7], [1, 2, 5, 6], '
+                         b'[1, 2, 5, 7], [1, 3, 4, 9], [1, 3, 4, 10], [1, 3, 5, 7], [1, 3, 5, 8], '
+                         b'[1, 3, 6, 9], [1, 3, 8, 10], [1, 4, 5, 6], [1, 4, 5, 10], [1, 4, 6, 9], '
+                         b'[1, 5, 8, 10], [2, 3, 5, 6], [2, 3, 5, 7], [3, 4, 5, 6], [3, 4, 5, 10], '
+                         b'[3, 4, 6, 9], [3, 5, 8, 10]]}',
+    # bench/workloads.py simplex_join([1, 2, 2], random.Random(1)): the join
+    # of the boundaries of a 1-simplex and two 2-simplices, labels shuffled
+    "join_122.json": b'{"m": 8, "facets": [[1, 2, 3, 4, 6], [1, 2, 3, 4, 8], [1, 2, 3, 6, 7], '
+                     b'[1, 2, 3, 7, 8], [1, 2, 4, 5, 6], [1, 2, 4, 5, 8], [1, 2, 5, 6, 7], '
+                     b'[1, 2, 5, 7, 8], [1, 3, 4, 6, 8], [1, 3, 6, 7, 8], [1, 4, 5, 6, 8], '
+                     b'[1, 5, 6, 7, 8], [2, 3, 4, 5, 6], [2, 3, 4, 5, 8], [2, 3, 5, 6, 7], '
+                     b'[2, 3, 5, 7, 8], [3, 4, 5, 6, 8], [3, 5, 6, 7, 8]]}',
 }
 TOWERS = ("tower_221.json", "tower_23.json")
+COMPLEXES = ("rp2.json", "rp2_s0.json", "stacked_4_10.json", "join_122.json")
 
 
 def golden_calls() -> list[list[str]]:
@@ -56,7 +80,8 @@ def golden_calls() -> list[list[str]]:
             calls.append(["split", "--fixture", name, "--p", p])
             calls.append(["projection", "--fixture", name, "--p", p])
     calls += [["hvec", "--fixture", name] for name in names]
-    calls += [["bott", "--input", name] for name in INPUTS]
+    calls += [["bott", "--input", name] for name in INPUTS if name.startswith("tower_")]
+    calls += [["zk", "--input", name, "--coeff", c] for name in COMPLEXES for c in ZK_COEFFS]
     # towers through the cohomology engine: their bott reports are the qtm inputs
     calls += [["qtm", "--input", f"{t}.qtm", "--coeff", c] for t in TOWERS for c in ("Q", "F2", "F3")]
     calls += [["qtm", "--fixture", "cp2", "--coeff", c] for c in ("Z", "F4", "Fx")]
@@ -93,7 +118,7 @@ def record(directory: Path) -> dict[str, dict]:
     out = {}
     for argv in golden_calls():
         key = " ".join(argv)
-        argv = [str(directory / a) if a.startswith("tower_") else a for a in argv]
+        argv = [str(directory / a) if a.endswith((".json", ".qtm")) else a for a in argv]
         code, stdout, stderr = run_call(argv)
         out[key] = {
             "exit": code,
