@@ -167,7 +167,7 @@ def _cmd_zk(args) -> dict:
     obj, data = _read_input(args)
     K = _complex_of(obj)
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         try:
             sizes = {int(s) for s in args.sizes.split(",")}
         except ValueError:
@@ -197,7 +197,7 @@ def _cmd_qtm(args) -> dict:
 def _cmd_split(args) -> dict:
     from .complexes import h_vector_of
     from .quasitoric import require_admissible
-    from .splitting import EvenBettiData, is_primitive_root, sphere_wedge_decomposition, split
+    from .splitting import EvenBettiData, sphere_wedge_decomposition, split
     obj, data = _read_input(args)
     warnings = []
     if "b" in obj:
@@ -211,8 +211,6 @@ def _cmd_split(args) -> dict:
             P = _polytope_of(obj)
         b = EvenBettiData.from_h_vector(h_vector_of(P))
     p = args.p
-    if args.u is not None and not is_primitive_root(args.u, p):
-        raise InputError(f"{args.u} is not a primitive root mod {p}")
     if p > b.n_top:
         pieces = sphere_wedge_decomposition(b, p, u=args.u)
         form = "sphere-wedge"

@@ -17,23 +17,24 @@ from .errors import InputError
 # exact integer routines
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q, by fraction-free elimination."""
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(Rank over Q, determinant if square) of an integer matrix, by
+    fraction-free (Bareiss) elimination."""
     A = [list(r) for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
+    r, sign, prev = 0, 1, 1  # r counts the pivot rows: the rank at the end
     for c in range(n):
         piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
         pivval = A[r][c]
         for i in range(r + 1, m):
             aic = A[i][c]
-            if aic or pivval != prev:
+            if aic or pivval != prev:  # else the update leaves row i as it is
                 for j in range(c + 1, n):
                     num = A[i][j] * pivval - aic * A[r][j]
                     q, rem = divmod(num, prev)
@@ -41,56 +42,22 @@ def rank_int(rows: list[list[int]]) -> int:
                     A[i][j] = q
             A[i][c] = 0
         prev = pivval
-        rank += 1
         r += 1
         if r == m:
             break
-    return rank
+    return r, sign * prev if r == n else 0
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over Q, by fraction-free elimination."""
+    return _bareiss(rows)[0]
 
 
 def det_int(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    m = len(rows)
-    if m == 0:
-        return 1
-    if any(len(r) != m for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    A = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(m):
-        piv = next((i for i in range(c, m) if A[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            sign = -sign
-        pivval = A[c][c]
-        for i in range(c + 1, m):
-            aic = A[i][c]
-            for j in range(c + 1, m):
-                q, rem = divmod(A[i][j] * pivval - aic * A[c][j], prev)
-                assert rem == 0
-                A[i][j] = q
-            A[i][c] = 0
-        prev = pivval
-    return sign * A[m - 1][m - 1]
-
-
-def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Integer inverse of a square matrix with determinant +-1 (adjugate)."""
-    n = len(rows)
-    d = det_int(rows)
-    if d not in (1, -1):
-        raise ValueError(f"matrix has determinant {d}, not a unit")
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            inv[j][i] = (-1) ** (i + j) * det_int(minor) * d
-    return inv
+    return _bareiss(rows)[1]
 
 
 def matmul_int(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[int]]:

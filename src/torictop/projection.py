@@ -34,6 +34,7 @@ from .splitting import (
     split,
     vanishing_range_check,
     _require_odd_prime,
+    _require_split_prime,
 )
 
 CERT_SIMPLEX = "simplex"
@@ -174,7 +175,7 @@ def projection_reports(
 ) -> tuple[ProjectionReport, TrivialityCertificate]:
     """``projection_decomposition`` and ``suspension_triviality_check`` at
     the cost of one, since both are read off the same wedge splitting."""
-    _require_odd_prime(p)
+    _require_split_prime(p)
     require_admissible(P, lam)
     certs = _certificates(P, p, cap)
     targets = split(EvenBettiData.from_h_vector(h_vector_of(P)), p)

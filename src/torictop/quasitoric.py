@@ -10,14 +10,14 @@ generated by the monomials of the minimal non-faces of the dual complex and J
 by the n linear forms in the rows of the characteristic matrix
 (Davis-Januszkiewicz).  The first maximal face sigma0 has a unimodular minor,
 so J solves each v_i, i in sigma0, as a linear form in the r = m - n
-remaining variables w.  Substituting these forms into the minimal non-face
-monomials leaves an ideal of k[w], reduced degree by degree with one echelon
-form over the face-supported w-monomials in descending lexicographic order.
-The forms and the rows are built in plain ints for every field; the
-eliminator ``linalg.echelon`` reduces them mod p on entry.  The basis of each
-degree is the set of non-pivot monomials, smallest first: the lexicographic
-standard monomials of I_K + J for the order that puts sigma0 first, so output
-is deterministic.  Products and squares are normal forms against the pivots.
+remaining variables w: a kernel basis of the characteristic matrix.
+Substituting the forms into the minimal non-face monomials leaves an ideal of
+k[w], reduced degree by degree with one echelon form over the face-supported
+w-monomials in descending lexicographic order.  Both steps use the field
+eliminator ``linalg.echelon``.  The basis of each degree is the set of
+non-pivot monomials, smallest first: the lexicographic standard monomials of
+I_K + J for the order that puts sigma0 first, so output is deterministic.
+Products and squares are normal forms against the pivots.
 """
 
 from __future__ import annotations
@@ -171,6 +171,20 @@ def _face_monomials(k: int, bits: list[int], faces: set[int], mask: int = 0) -> 
     return out
 
 
+def linear_forms(lam: CharacteristicMatrix, sigma0, p: int) -> dict[int, list]:
+    """Each v_i as a linear form in the w's, the variables off the face sigma0,
+    over F_p or Q (p = 0).  J reads A v_sigma0 + B w = 0 with A unimodular: with
+    sigma0's columns first, A's are the pivots, and kernel vector t (1 at w_t,
+    0 at the other w's) holds column t of -A^-1 B."""
+    free = [v for v in range(1, lam.m + 1) if v not in sigma0]
+    order = [*sigma0, *free]
+    pivots = linalg.echelon(lam.column_submatrix(order), p)
+    if sorted(pivots) != list(range(len(sigma0))):
+        raise ConsistencyError(f"linear forms are singular on the face {sigma0}")
+    kernel = linalg.kernel_vectors(pivots, lam.m, p)
+    return {v: [vec[i] for vec in kernel] for i, v in enumerate(order)}
+
+
 def cohomology_ring(
     P: PolytopeDual, lam: CharacteristicMatrix, coeff: str = "Q"
 ) -> CohomologyPresentation:
@@ -186,21 +200,10 @@ def cohomology_ring(
     n, m = P.n, P.m
     h = h_vector_of(P).entries
 
-    # The linear relations read A v_sigma0 + B w = 0 with A unimodular, so
-    # v_sigma0 = -A^-1 B w and H* = k[w] / (images of the minimal non-faces).
+    # H* = k[w] / (images of the minimal non-faces), w the variables off sigma0
     sigma0 = min(K.maximal_faces)
     free = [v for v in range(1, m + 1) if v not in sigma0]
-    r = len(free)
-    try:
-        inv = linalg.unimodular_inverse(lam.column_submatrix(sigma0))
-    except ValueError as e:
-        raise ConsistencyError(
-            f"linear forms are not invertible on the first maximal face {sigma0}: {e}"
-        )
-    solved = linalg.matmul_int(inv, lam.column_submatrix(free), n)
-    form = {v: [-x for x in solved[i]] for i, v in enumerate(sigma0)}
-    for t, v in enumerate(free):
-        form[v] = [int(u == t) for u in range(r)]
+    form = linear_forms(lam, sigma0, p)
 
     # A w-monomial whose support is a non-face lies in the ideal, and so does
     # every multiple of it: only face-supported w-monomials need a column.
@@ -214,7 +217,7 @@ def cohomology_ring(
     for s in K.minimal_non_faces():
         if not s & sigma0_mask:
             continue  # a non-face monomial in w alone
-        poly = {(0,) * r: 1}
+        poly = {(0,) * len(free): 1}
         for v in range(1, m + 1):
             if s >> (v - 1) & 1:
                 prod: dict = {}
@@ -228,7 +231,7 @@ def cohomology_ring(
 
     # Per degree, one echelon form over the w-monomials, largest first: the
     # pivots are the lex leading terms of the ideal, the rest its standard
-    # monomials.  The rows hold ints; the eliminator reduces them mod p.
+    # monomials; the eliminator reduces each row mod p on entry.
     bits = [1 << (v - 1) for v in free]
     monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
     systems, w_basis = [], []

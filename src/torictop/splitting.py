@@ -19,6 +19,8 @@ statement: two manifolds over the same polytope get identical reports.
 
 from __future__ import annotations
 
+import math
+
 from ._record import _frozen
 from .complexes import HVector
 from .errors import InputError
@@ -43,9 +45,23 @@ def _require_odd_prime(p: int):
         raise InputError(f"{p} is not an odd prime")
 
 
+# split, sphere_wedge_decomposition and projection emit p - 1 pieces, so they
+# refuse p above this bound; at the bound a split report is about 6 MB
+SPLIT_PRIME_BOUND = 1 << 16
+
+
+def _require_split_prime(p: int):
+    _require_odd_prime(p)
+    if p > SPLIT_PRIME_BOUND:
+        raise InputError(
+            f"p={p} is above {SPLIT_PRIME_BOUND}, the bound on p for a splitting: "
+            f"it would emit {p - 1} pieces"
+        )
+
+
 def multiplicative_order(u: int, p: int) -> int:
     u %= p
-    if u == 0:
+    if math.gcd(u, p) != 1:  # no power of u is 1 mod p
         raise InputError("u must be coprime to p")
     k = 1
     x = u
@@ -56,7 +72,7 @@ def multiplicative_order(u: int, p: int) -> int:
 
 
 def is_primitive_root(u: int, p: int) -> bool:
-    return u % p != 0 and multiplicative_order(u, p) == p - 1
+    return math.gcd(u, p) == 1 and multiplicative_order(u, p) == p - 1
 
 
 def primitive_root(p: int) -> int:
@@ -146,7 +162,7 @@ def split(b: EvenBettiData, p: int, coeff: str = "Z", u: int | None = None) -> l
     primitive root; it is validated and has no effect on the output, which
     depends only on residues.
     """
-    _require_odd_prime(p)
+    _require_split_prime(p)
     if coeff not in ("Z", f"F{p}"):
         raise InputError(f"coefficient view must be 'Z' or 'F{p}'")
     if u is not None and not is_primitive_root(u, p):
@@ -172,7 +188,7 @@ def sphere_wedge_decomposition(
     once, so piece i is a wedge of b_i spheres of dimension 2i+1.  Output is
     a function of (b, p) alone.
     """
-    _require_odd_prime(p)
+    _require_split_prime(p)
     if p <= b.n_top:
         raise InputError(
             f"sphere wedge form needs p > {b.n_top}; use split() for the general shape"

@@ -3,12 +3,13 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Five exceptions are kept as differential oracles for the code that
+Six exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``reduce_against``,
 ``kernel_basis`` and the field objects) for the sparse eliminator in
 ``linalg``; ``face_ring_cohomology``, the library's previous cohomology
-engine, for ``cohomology_ring``; ``per_subset_wedge_splitting``, the
+engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse``
+for ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the
 previous wedge splitting that builds and reduces every full subcomplex, for
 ``wedge_splitting``; and the symbolic mod-2 presentations
 (``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
@@ -770,6 +771,22 @@ def product_presentation(n: int, kprime: int, ell: int) -> QuadraticPresentation
     )
 
 
+def unimodular_inverse(rows: list[list[int]]) -> list[list[int]]:
+    """Integer inverse of a square matrix with determinant +-1 (adjugate)."""
+    n = len(rows)
+    d = linalg.det_int(rows)
+    if d not in (1, -1):
+        raise ValueError(f"matrix has determinant {d}, not a unit")
+    inv = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
+            ]
+            inv[j][i] = (-1) ** (i + j) * linalg.det_int(minor) * d
+    return inv
+
+
 def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPresentationF2:
     """Extract the mod-2 quadratic presentation from quasitoric data over the 3-cube.
 
@@ -790,7 +807,7 @@ def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPres
     require_admissible(P, lam)
     sigma0 = min(K.maximal_faces)
     free = [partner[v] for v in sigma0]
-    S = linalg.unimodular_inverse(lam.column_submatrix(sigma0))
+    S = unimodular_inverse(lam.column_submatrix(sigma0))
     B = linalg.matmul_int(S, lam.column_submatrix(free), 3)
     Bbar = [[x % 2 for x in row] for row in B]
     for k in range(3):

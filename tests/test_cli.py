@@ -29,14 +29,14 @@ def run_cli(capsys, *argv):
     return rc, out
 
 
-def run_subprocess(*argv, text=True):
+def run_subprocess(*argv, text=True, timeout=60):
     """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "torictop.cli", *argv],
-        capture_output=True, text=text, env=env, timeout=60,
+        capture_output=True, text=text, env=env, timeout=timeout,
     )
 
 
@@ -212,6 +212,37 @@ def test_projection_below_n_warns_and_gives_no_verdict(capsys):
 def test_split_accepts_polytope_only_fixture(capsys):
     rep = run_json(capsys, "split", "--fixture", "polygon6", "--p", "5")
     assert rep["results"]["betti"] == [1, 4, 1]
+
+
+@pytest.mark.parametrize("p, u", [("4", "2"), ("9", "3"), ("0", "1")])
+def test_split_checks_p_before_the_root_u(p, u):
+    # a root test mod a composite p looped for ever once u shared a factor with p
+    proc = run_subprocess("split", "--fixture", "cp2", "--p", p, "--u", u, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"torictop: input error: {p} is not an odd prime\n"
+
+
+@pytest.mark.parametrize("command, fixture", [("split", "cp3"), ("projection", "cp2")])
+def test_p_above_the_splitting_bound_exits_2_stating_the_pieces(capsys, monkeypatch, command, fixture):
+    # refused before any work that grows with p or with 2^m
+    from torictop import projection
+
+    def no_splitting(*args, **kwargs):
+        raise AssertionError("the wedge splitting ran")
+
+    monkeypatch.setattr(projection, "wedge_splitting", no_splitting)
+    rc = main([command, "--fixture", fixture, "--p", "100003"])
+    captured = capsys.readouterr()
+    message = "p=100003 is above 65536, the bound on p for a splitting: it would emit 100002 pieces"
+    assert (rc, captured.out, captured.err) == (2, "", f"torictop: input error: {message}\n")
+
+
+@pytest.mark.parametrize("sizes", ["", "x", "0", "2,", "1,x"])
+def test_zk_malformed_size_filter_exits_2(capsys, sizes):
+    rc = main(["zk", "--fixture", "polygon5", f"--sizes={sizes}"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("torictop: input error: ")
 
 
 def test_zk_size_filter_flag(capsys):

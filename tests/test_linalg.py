@@ -1,10 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PrimeField, RationalField, kernel_basis, reduce_against, rref
-from torictop.linalg import echelon, kernel_vectors, normal_form
+from torictop.linalg import det_int, echelon, kernel_vectors, normal_form, rank_int
 
 FIELDS = (2, 3, 5, 7, 0)  # the p of echelon; 0 is Q
 
@@ -81,3 +82,40 @@ def test_eliminator_matches_the_dense_oracle(mat, p):
     want_nf = reduce_against([field.from_int(x) for x in vec], red, want, field)
     assert normal_form(vec, pivots, p) == want_nf
     assert kernel_vectors(pivots, ncols, p) == kernel_basis(dense, ncols, field)
+    if not p:
+        assert rank_int(rows) == len(pivots)
+
+
+def bareiss_cases(rng):
+    """Empty, zero, square, singular and non-square integer matrices."""
+    cases = [[], [[]], [[], []], [[0]], [[5]], [[0, 0], [0, 0]], [[0, 1], [1, 0]],
+             [[2, 3], [4, 6]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [0, 3], [1, 1]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            n = m
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        # a product through k < min(m, n) dimensions is singular, or rank deficient
+        k = rng.randint(0, min(m, n) - 1)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k
+                      else [0] * n for row in left])
+    return cases
+
+
+def test_rank_and_determinant_match_sympy():
+    from sympy import Matrix
+
+    squares = 0
+    for rows in bareiss_cases(random.Random(31)):
+        m, n = len(rows), len(rows[0]) if rows else 0
+        want = Matrix(m, n, [x for r in rows for x in r])
+        assert rank_int(rows) == want.rank(), rows
+        if m == n:
+            assert det_int(rows) == want.det(), rows
+            squares += 1
+        else:
+            with pytest.raises(ValueError):
+                det_int(rows)
+    assert squares > 200  # square and singular matrices were really drawn

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -14,6 +14,7 @@ from conftest import (
     face_ring_cohomology,
     product_presentation,
     rref,
+    unimodular_inverse,
 )
 
 from torictop import (
@@ -31,7 +32,8 @@ from torictop import (
     simplex_polytope,
     validate_characteristic,
 )
-from torictop import fixtures
+from torictop import fixtures, linalg
+from torictop.quasitoric import linear_forms
 
 FIELDS = ("Q", "F2", "F3", "F5")
 
@@ -368,3 +370,40 @@ def test_engine_matches_face_ring_oracle_on_towers_mod_p(tower, coeff):
 @given(bott_towers(max_n=3))
 def test_engine_matches_face_ring_oracle_on_towers_over_q(tower):
     assert_engines_agree(*generalized_bott(*tower), "Q")
+
+
+# ---------------------------------------------------------------------------
+# the linear forms against the integer adjugate kept in conftest
+
+
+def adjugate_forms(lam, face):
+    """v -> its linear form in the variables off ``face``: -A^-1 B from the
+    adjugate of A, for A and B the columns of lam on and off the face."""
+    free = [v for v in range(1, lam.m + 1) if v not in face]
+    inv = unimodular_inverse(lam.column_submatrix(face))
+    solved = linalg.matmul_int(inv, lam.column_submatrix(free), len(face))
+    forms = {v: [-x for x in solved[i]] for i, v in enumerate(face)}
+    forms.update({v: [int(u == t) for u in range(len(free))] for t, v in enumerate(free)})
+    return forms
+
+
+def assert_forms_match_the_adjugate(P, lam):
+    # every maximal face has a unimodular minor, so each one solves J
+    for face in sorted(P.complex.maximal_faces):
+        want = adjugate_forms(lam, face)
+        for p in (0, 2, 3, 5):  # Q and F_p
+            got = linear_forms(lam, face, p)
+            assert got == {v: [x % p if p else x for x in f] for v, f in want.items()}, (face, p)
+
+
+def test_linear_forms_match_the_adjugate_on_fixtures():
+    for name in fixtures.quasitoric_names():
+        assert_forms_match_the_adjugate(*fixtures.load_quasitoric(name))
+
+
+@ORACLE_SETTINGS
+@given(bott_towers(max_n=7))
+def test_linear_forms_match_the_adjugate_on_towers(tower):
+    dims, _ = tower
+    assume(sum(d + 1 for d in dims) <= 8)
+    assert_forms_match_the_adjugate(*generalized_bott(*tower))

@@ -12,6 +12,7 @@ from torictop import (
     sphere_wedge_decomposition,
     vanishing_range_check,
 )
+from torictop.splitting import SPLIT_PRIME_BOUND, multiplicative_order
 
 
 def test_primitive_roots_pinned():
@@ -63,6 +64,25 @@ def test_eigen_pattern_independent_of_primitive_root():
             for k in range(20):
                 patterns = {eigen_scalar(p, u, i, k) == 0 for u in roots}
                 assert len(patterns) == 1
+
+
+def test_order_and_root_tests_end_at_once_when_u_shares_a_factor_with_p():
+    # no power of u is 1 mod p then, so a search for the order would not end
+    for u, p in ((2, 4), (3, 9), (6, 9), (0, 7), (14, 7)):
+        assert not is_primitive_root(u, p)
+        with pytest.raises(InputError, match="coprime"):
+            multiplicative_order(u, p)
+    assert multiplicative_order(2, 9) == 6 and multiplicative_order(-1, 7) == 2
+
+
+def test_splittings_refuse_p_above_the_bound():
+    b = EvenBettiData(3, (1, 1, 1, 1))
+    assert len(split(b, 65521)) == 65520  # the largest prime below the bound
+    for p in (65537, 100003):
+        assert p > SPLIT_PRIME_BOUND
+        for f in (split, sphere_wedge_decomposition):
+            with pytest.raises(InputError, match=f"it would emit {p - 1} pieces"):
+                f(b, p)
 
 
 def test_split_cp3_at_five():
