@@ -10,7 +10,6 @@ Reports are deterministic byte-for-byte for fixed inputs and version.
 from __future__ import annotations
 
 import gc
-import json
 import re
 import sys
 from types import SimpleNamespace
@@ -34,6 +33,7 @@ def _read_input(args) -> tuple[dict, bytes]:
             raise InputError(f"cannot read {args.input}: {e}")
     else:
         raise InputError("provide --input FILE or --fixture NAME")
+    import json
     try:
         obj = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -99,12 +99,47 @@ def _report(command: str, params: dict, digest_bytes: bytes, results, warnings=(
     }
 
 
+def report_json(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)`` at twice its speed (with an indent
+    json runs its pure-Python encoder) for dicts with str keys, lists, tuples, str, int,
+    bool and None.  Anything else, a float, a set or a non-str key, raises TypeError."""
+    from _json import encode_basestring_ascii as quote  # json's own C quoting
+
+    def encode(obj, nl: str) -> str:
+        t = type(obj)
+        if t is dict:
+            if not obj:
+                return "{}"
+            sep = nl + "  "  # an f-string copies the body once, where + would copy it thrice
+            body = f",{sep}".join([f"{quote(k)}: {encode(obj[k], sep)}" for k in sorted(obj)])
+            return f"{{{sep}{body}{nl}}}"
+        if t is list or t is tuple:
+            if not obj:
+                return "[]"
+            sep = nl + "  "
+            items = (map(int.__repr__, obj) if {*map(type, obj)} == {int}
+                     else [encode(x, sep) for x in obj])
+            body = f",{sep}".join(items)
+            return f"[{sep}{body}{nl}]"
+        if t is str:
+            return quote(obj)
+        if t is int:
+            return int.__repr__(obj)
+        if t is bool:
+            return "true" if obj else "false"
+        if obj is None:
+            return "null"
+        raise TypeError(f"{t.__name__} is not a report type")
+
+    return encode(report, "\n")
+
+
 def _emit(report: dict, args) -> None:
     if getattr(args, "text", False):
         lines = _render_text(report)
         payload = "\n".join(lines) + "\n"
     else:
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = report_json(report) + "\n"
     if getattr(args, "output", None):
         try:
             with open(args.output, "w") as fh:
@@ -134,6 +169,7 @@ def _flatten(prefix: str, obj) -> list[str]:
         for i, x in enumerate(obj):
             out.extend(_flatten(f"{prefix}{i}.", x))
         return out
+    import json
     return [f"{prefix[:-1]}: {json.dumps(obj)}"]
 
 

@@ -60,6 +60,8 @@ def _require_split_prime(p: int):
 
 
 def multiplicative_order(u: int, p: int) -> int:
+    if p < 2:  # mod 1 the loop below would never end, mod 0 it would divide by zero
+        raise InputError(f"the modulus p={p} must be at least 2")
     u %= p
     if math.gcd(u, p) != 1:  # no power of u is 1 mod p
         raise InputError("u must be coprime to p")

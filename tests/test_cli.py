@@ -16,7 +16,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from torictop import __version__, fixtures
-from torictop.cli import COMMANDS, _parse, input_digest, main, run
+from torictop.cli import COMMANDS, _parse, input_digest, main, report_json, run
 from torictop.complexes import join, simplex_boundary
 from torictop.errors import ConsistencyError
 
@@ -467,7 +467,7 @@ def test_version_loads_no_compute_module():
         loaded = modules_loaded_by(*argv)
         assert {m for m in loaded if m.startswith("torictop")} <= {
             "torictop", "torictop.cli", "torictop.errors"}, argv
-        assert not loaded & {"dataclasses", "inspect", *PARSER_MODULES}, argv
+        assert not loaded & {"dataclasses", "inspect", "json", *PARSER_MODULES}, argv
 
 
 def test_zk_over_z_loads_only_what_it_runs(tmp_path):
@@ -555,6 +555,11 @@ def test_output_file(tmp_path, capsys):
     assert rc == 0 and out == ""
     rep = json.loads(dest.read_text())
     assert rep["results"]["h"] == [1, 1, 1, 1]
+    # the file holds the bytes the same call writes to stdout
+    for argv in (["hvec", "--fixture", "simplex3"], ["zk", "--fixture", "polygon6", "--coeff", "Z"]):
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0 and run_cli(capsys, *argv, "--output", str(dest)) == (0, "")
+        assert dest.read_bytes() == out.encode(), argv
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -665,6 +670,40 @@ def test_input_digest_is_sha256_of_every_fixture(builtin):
 def test_input_digest_is_sha256_of_any_bytes(builtin, data):
     with digest_source(builtin):
         assert input_digest(data) == SHA256(data).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the report emitter against json.dumps(..., sort_keys=True, indent=2)
+
+# quotes, backslashes, control characters, DEL, non-ASCII, astral and lone surrogates
+REPORT_STRINGS = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€😀'),
+    st.characters(blacklist_categories=())))
+REPORT_INTS = st.one_of(st.integers(-5, 5), st.integers(), st.integers(2**64 - 2, 2**70),
+                        st.integers(-2**70, -2**64))
+REPORT_TREES = st.recursive(
+    st.one_of(REPORT_STRINGS, REPORT_INTS, st.booleans(), st.none(),
+              st.lists(st.one_of(REPORT_INTS, st.booleans()), max_size=6)),
+    lambda trees: st.one_of(
+        st.lists(trees, max_size=5),
+        st.lists(trees, max_size=5).map(tuple),
+        st.dictionaries(REPORT_STRINGS, trees, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=REPORT_TREES)
+def test_report_json_matches_json_dumps(tree):
+    assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [1.0, {1, 2}, {1: 2}, {"a": [1, 0.5]}, [{"b": {3: None}}],
+                                  {"c": frozenset()}, [(1, 2), float("nan")]],
+                         ids=repr)
+def test_report_json_refuses_what_is_not_a_report_type(tree):
+    # json.dumps would write the float and turn the int key into a string
+    with pytest.raises(TypeError):
+        report_json(tree)
 
 
 # ---------------------------------------------------------------------------

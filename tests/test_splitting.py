@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from torictop import (
@@ -73,6 +78,26 @@ def test_order_and_root_tests_end_at_once_when_u_shares_a_factor_with_p():
         with pytest.raises(InputError, match="coprime"):
             multiplicative_order(u, p)
     assert multiplicative_order(2, 9) == 6 and multiplicative_order(-1, 7) == 2
+    # every residue mod 1 is 0, and there are none mod 0; a child process under a
+    # timeout, so that a search for the order that never ends fails the test
+    code = """
+from torictop.errors import InputError
+from torictop.splitting import is_primitive_root, multiplicative_order
+for u, p in ((1, 1), (0, 1), (1, 0)):
+    for f in (multiplicative_order, is_primitive_root):
+        try:
+            f(u, p)
+        except InputError as e:
+            assert str(e) == f"the modulus p={p} must be at least 2", e
+        else:
+            raise AssertionError((f.__name__, u, p))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_splittings_refuse_p_above_the_bound():
