@@ -1,13 +1,13 @@
 """Exact simplicial homology via Smith normal form and rank computations.
 
-Integral homology goes through an integer Smith normal form with a fixed
-pivot rule (smallest nonzero absolute value, then lowest row, then lowest
-column), so results are bit-stable across platforms.  Over Z one SNF per
-boundary map gives both its rank and its torsion.  Field coefficients skip
-torsion and use rank computations only: F_p ranks come from the sparse
-field eliminator ``linalg.echelon`` on Python ints reduced mod p, exact for
-every prime, and rational ranks from fraction-free integer elimination.
-One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>'.
+Integral and rational homology share one integer kernel: an SNF per
+boundary map gives its rank and its torsion over Z, and over Q its rank
+alone, since the rational Betti numbers are the free ranks over Z by
+universal coefficients.  Invariant factors are unique, so the result does
+not depend on the pivot order.  F_p ranks come from the sparse field
+eliminator ``linalg.echelon`` on Python ints reduced mod p, exact for every
+prime.  One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and
+'F<p>'.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -16,6 +16,8 @@ test suite checks that they compose to zero.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import linalg
 from ._record import _frozen
@@ -49,9 +51,6 @@ class IntegerMatrix:
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(rows=rows, cols=cols, entries=tuple((0,) * cols for _ in range(rows)))
 
-    def row_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
 
 @_frozen
 class SNFResult:
@@ -69,84 +68,58 @@ class SNFResult:
 
 
 def smith_normal_form(A: IntegerMatrix) -> SNFResult:
-    """Invariant factors by row/column reduction.
+    """Invariant factors, in two steps.
 
-    Pivot rule: among nonzero entries of the working submatrix take the one
-    of smallest absolute value, ties broken by lowest row then lowest column.
+    Diagonalise: take an entry of least absolute value as the pivot (the
+    first unit found will do) and clear its column, then its row, by
+    division with remainder; a nonzero remainder becomes the new pivot.  A
+    cleared pivot gives one diagonal entry, and its row and column are
+    deleted.  Then fix divisibility once, by gcd/lcm exchanges among the
+    non-unit diagonal entries, which factors nothing.  Invariant factors are
+    unique, so the pivot order does not show in the result.
     """
-    M = A.row_lists()
-    rows, cols = A.rows, A.cols
+    M = [list(r) for r in A.entries]
     diag: list[int] = []
-    t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = M[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
+        best = 0
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
                     if best == 1:
                         break
             if best == 1:
                 break
-        if pivot is None:
+        if not best:
             break
-        pi, pj = pivot
-        M[t], M[pi] = M[pi], M[t]
-        if pj != t:
-            for row in M:
-                row[t], row[pj] = row[pj], row[t]
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
         while True:
-            # clear the pivot column
-            restart = False
-            for i in range(t + 1, rows):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                    if M[i][t]:
-                        # remainder became a smaller pivot
-                        M[t], M[i] = M[i], M[t]
-                        if M[t][t] < 0:
-                            M[t] = [-x for x in M[t]]
-                        restart = True
+            prow, piv = M[pi], M[pi][pj]
+            for i, row in enumerate(M):
+                if row[pj] and i != pi:
+                    q = row[pj] // piv
+                    M[i] = row = [a - q * b for a, b in zip(row, prow)]
+                    if row[pj]:
+                        pi = i
                         break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    for row in M:
-                        row[j] -= q * row[t]
-                    if M[t][j]:
-                        for row in M:
-                            row[t], row[j] = row[j], row[t]
-                        if M[t][t] < 0:
-                            M[t] = [-x for x in M[t]]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            culprit = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if M[i][j] % M[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
+            else:
+                # the column is clear, so column operations change the pivot row only
+                for j, v in enumerate(prow):
+                    if j != pj:
+                        prow[j] = v % piv
+                nonzero = [j for j, v in enumerate(prow) if v and j != pj]
+                if not nonzero:
                     break
-            if culprit is None:
-                break
-            M[t] = [a + b for a, b in zip(M[t], M[culprit])]
-        diag.append(M[t][t])
-        t += 1
-        if t == rows or t == cols:
-            break
-    return SNFResult(tuple(diag))
+                pj = nonzero[0]
+        diag.append(abs(piv))
+        del M[pi]
+        for row in M:
+            del row[pj]
+    rest = sorted(d for d in diag if d > 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return SNFResult((1,) * (len(diag) - len(rest)) + tuple(rest))
 
 
 def merge_torsion(parts: list[int]) -> tuple[int, ...]:
@@ -235,14 +208,13 @@ def _homology_from_boundaries(
     Trusts the maps to chain and to compose to zero (see chain_homology)."""
     p = linalg.coeff_prime(coeff, allow_z=True) if p is None else p
     torsion = [()] * len(boundaries)
-    if p is None:
+    if p:
+        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
+    else:  # over Q the free ranks over Z, by universal coefficients
         snfs = [smith_normal_form(mat) for mat in boundaries]
         ranks = [snf.rank for snf in snfs]
-        torsion = [snf.torsion for snf in snfs]
-    elif p:
-        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
-    else:
-        ranks = [linalg.rank_int(mat.entries) for mat in boundaries]
+        if p is None:
+            torsion = [snf.torsion for snf in snfs]
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
         out_rank = ranks[k - 1] if k >= 1 else 0

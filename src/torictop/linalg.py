@@ -49,7 +49,9 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
 
 
 def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q, by fraction-free elimination."""
+    """Rank of an integer matrix over Q, by fraction-free elimination.  Not
+    on the homology path: Z and Q homology share ``homology.smith_normal_form``
+    and F_p homology uses ``echelon``."""
     return _bareiss(rows)[0]
 
 

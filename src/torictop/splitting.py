@@ -74,16 +74,19 @@ def multiplicative_order(u: int, p: int) -> int:
 
 
 def is_primitive_root(u: int, p: int) -> bool:
-    return math.gcd(u, p) == 1 and multiplicative_order(u, p) == p - 1
+    if p < 2 or math.gcd(u, p) == 1:  # multiplicative_order refuses p < 2
+        return multiplicative_order(u, p) == p - 1
+    return False
 
 
 def primitive_root(p: int) -> int:
-    """Smallest positive primitive root mod p.
+    """Smallest positive primitive root mod p, for p up to SPLIT_PRIME_BOUND:
+    the search is linear in p.
 
     >>> [primitive_root(p) for p in (3, 5, 7, 11)]
     [2, 2, 3, 2]
     """
-    _require_odd_prime(p)
+    _require_split_prime(p)
     for u in range(1, p):
         if multiplicative_order(u, p) == p - 1:
             return u
@@ -91,14 +94,15 @@ def primitive_root(p: int) -> int:
 
 
 def eigen_scalar(p: int, u: int, i: int, k: int) -> int:
-    """The scalar by which the i-th selector composite acts on H_{2k+1}, mod p.
+    """The scalar by which the i-th selector composite acts on H_{2k+1}, mod p,
+    for p up to SPLIT_PRIME_BOUND: the product has p - 2 factors.
 
     >>> eigen_scalar(3, 2, 1, 1), eigen_scalar(3, 2, 1, 2)
     (1, 0)
     >>> eigen_scalar(5, 2, 2, 2)
     1
     """
-    _require_odd_prime(p)
+    _require_split_prime(p)
     if not 1 <= i <= p - 1:
         raise InputError(f"index i={i} must lie in 1..{p - 1}")
     if k < 0:

@@ -3,12 +3,13 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Six exceptions are kept as differential oracles for the code that
+Seven exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``reduce_against``,
 ``kernel_basis`` and the field objects) for the sparse eliminator in
-``linalg``; ``face_ring_cohomology``, the library's previous cohomology
-engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse``
+``linalg``; ``reference_smith_normal_form``, the previous Smith normal form,
+for ``homology.smith_normal_form``; ``face_ring_cohomology``, the library's
+previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse``
 for ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the
 previous wedge splitting that builds and reduces every full subcomplex, for
 ``wedge_splitting``; and the symbolic mod-2 presentations
@@ -21,9 +22,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from torictop import __version__, cli, linalg
 from torictop.cli import (
@@ -45,7 +50,13 @@ from torictop.complexes import (
     h_vector_of,
 )
 from torictop.errors import CapExceededError, ConsistencyError, InputError
-from torictop.homology import GradedHomology, merge_torsion, reduced_homology
+from torictop.homology import (
+    GradedHomology,
+    IntegerMatrix,
+    SNFResult,
+    merge_torsion,
+    reduced_homology,
+)
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
 from torictop.quasitoric import (
     CharacteristicMatrix,
@@ -151,6 +162,94 @@ def mod_p_rank(rows, p) -> int:
             A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# The Smith normal form the library used before its two-step kernel, which
+# enforces divisibility inside the elimination: after each pivot it scans the
+# remaining block and restarts on an entry the pivot does not divide.  It is
+# the oracle of ``homology.smith_normal_form``.
+
+
+def reference_smith_normal_form(A: IntegerMatrix) -> SNFResult:
+    """Invariant factors by row/column reduction.
+
+    Pivot rule: among nonzero entries of the working submatrix take the one
+    of smallest absolute value, ties broken by lowest row then lowest column.
+    """
+    M = [list(r) for r in A.entries]
+    rows, cols = A.rows, A.cols
+    diag: list[int] = []
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = M[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        M[t], M[pi] = M[pi], M[t]
+        if pj != t:
+            for row in M:
+                row[t], row[pj] = row[pj], row[t]
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+        while True:
+            # clear the pivot column
+            restart = False
+            for i in range(t + 1, rows):
+                if M[i][t]:
+                    q = M[i][t] // M[t][t]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                    if M[i][t]:
+                        # remainder became a smaller pivot
+                        M[t], M[i] = M[i], M[t]
+                        if M[t][t] < 0:
+                            M[t] = [-x for x in M[t]]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if M[t][j]:
+                    q = M[t][j] // M[t][t]
+                    for row in M:
+                        row[j] -= q * row[t]
+                    if M[t][j]:
+                        for row in M:
+                            row[t], row[j] = row[j], row[t]
+                        if M[t][t] < 0:
+                            M[t] = [-x for x in M[t]]
+                        restart = True
+                        break
+            if restart:
+                continue
+            # enforce divisibility of the remaining block by the pivot
+            culprit = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if M[i][j] % M[t][t]:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            M[t] = [a + b for a, b in zip(M[t], M[culprit])]
+        diag.append(M[t][t])
+        t += 1
+        if t == rows or t == cols:
+            break
+    return SNFResult(tuple(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +451,17 @@ def random_complex_faces(rng: random.Random, m: int, n_faces: int, max_card: int
         card = rng.randint(1, max_card)
         faces.append(sorted(rng.sample(range(1, m + 1), min(card, m))))
     return faces
+
+
+def run_python(code: str, timeout: float = 20) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports torictop from src,
+    under a timeout, so that a call that never returns fails a test instead
+    of hanging it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def pascal_parity_table(limit: int):

@@ -1,11 +1,20 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_reduced_betti, f2_rank, fraction_rank, mod_p_rank, random_complex_faces
+from conftest import (
+    brute_reduced_betti,
+    f2_rank,
+    fraction_rank,
+    mod_p_rank,
+    random_complex_faces,
+    reference_smith_normal_form,
+    run_python,
+)
 from torictop import (
     GradedHomology,
     InputError,
@@ -18,7 +27,8 @@ from torictop import (
     smith_normal_form,
     validate_complex,
 )
-from torictop import fixtures, linalg
+from torictop import cli, fixtures, linalg
+from torictop.complexes import _vertices_of
 from torictop.homology import boundary_matrices, homology, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
@@ -249,6 +259,104 @@ def test_snf_matches_sympy_and_gives_the_rank():
         diag = sympy_snf(Matrix(rows), domain=ZZ).diagonal()
         assert ours.diagonal == tuple(abs(int(d)) for d in diag if d), rows
         assert ours.rank == linalg.rank_int(rows)
+
+
+SNF_ENTRIES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -10, 12, -12, 30, -30)
+
+
+def assert_snf_matches_the_oracles(A, with_sympy=True):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    ours = smith_normal_form(A).diagonal
+    assert ours == reference_smith_normal_form(A).diagonal, A
+    if with_sympy:
+        diag = sympy_snf(Matrix(A.entries), domain=ZZ).diagonal() if A.rows and A.cols else ()
+        assert ours == tuple(abs(int(d)) for d in diag if d), A
+
+
+@st.composite
+def snf_matrices(draw):
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    huge = st.integers(10**20 - 9, 10**20 + 9).flatmap(lambda x: st.sampled_from((x, -x)))
+
+    def entry():  # about one entry in twenty near +-10^20
+        x = draw(st.sampled_from(SNF_ENTRIES + (None,)))
+        return draw(huge) if x is None else x
+
+    return IntegerMatrix.from_rows([[entry() for _ in range(n)] for _ in range(m)], n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(snf_matrices())
+def test_snf_matches_the_previous_snf_and_sympy(A):
+    assert_snf_matches_the_oracles(A)
+
+
+def fixture_and_golden_complexes():
+    from test_golden import COMPLEXES, INPUTS
+
+    out = [fixtures.load_polytope(name).complex for name in fixtures.names()]
+    for name in COMPLEXES:
+        obj = json.loads(INPUTS[name])
+        out.append(validate_complex(obj["facets"], obj["m"]))
+    return out
+
+
+def test_snf_matches_the_previous_snf_and_sympy_on_every_full_subcomplex():
+    # the previous SNF on every boundary map, sympy on every distinct one
+    distinct = {}
+    for K in fixture_and_golden_complexes():
+        for mask in range(1, 1 << K.m):
+            for A in boundary_matrices(full_subcomplex(K, _vertices_of(mask)))[0]:
+                if A.entries in distinct:
+                    assert_snf_matches_the_oracles(A, with_sympy=False)
+                else:
+                    distinct[A.entries] = A
+                    assert_snf_matches_the_oracles(A)
+    assert len(distinct) > 1000
+
+
+def test_snf_with_huge_diagonal_entries_factors_nothing():
+    # trial division of the second entry would not end; in a child process
+    # under a timeout, so that it fails the test instead of hanging it
+    proc = run_python("""
+import time
+from torictop.homology import IntegerMatrix, smith_normal_form
+a = 10**30 + 57
+t = time.perf_counter()
+d = smith_normal_form(IntegerMatrix.from_rows([[a, 0], [0, a * (2**61 - 1)]])).diagonal
+assert time.perf_counter() - t < 1
+assert d == (a, a * (2**61 - 1)), d
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rational_homology_reads_the_integer_kernel(monkeypatch, capsys):
+    def refuse(rows):
+        raise AssertionError("rational homology called rank_int")
+
+    monkeypatch.setattr(linalg, "rank_int", refuse)
+    for K in fixture_and_golden_complexes():
+        free = {d: (r, ()) for d, (r, _) in reduced_homology(K, "Z").as_dict().items()}
+        assert reduced_homology(K, "Q") == GradedHomology.from_dict("Q", free)
+    totals = {}
+    for coeff in ("Z", "Q"):
+        assert cli.main(["zk", "--fixture", "polygon6", "--coeff", coeff]) == 0
+        total = json.loads(capsys.readouterr().out)["results"]["total"]
+        totals[coeff] = [(g["degree"], g["rank"]) for g in total]
+    assert totals["Q"] == totals["Z"] == [(3, 9), (4, 16), (5, 9), (8, 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), m=st.integers(1, 7))
+def test_rational_ranks_are_the_integral_free_ranks(rng, m):
+    K = validate_complex(random_complex_faces(rng, m, rng.randint(1, 6), 4), m)
+    hq, hz = reduced_homology(K, "Q").as_dict(), reduced_homology(K, "Z").as_dict()
+    assert all(not tors for _, tors in hq.values())
+    ranks = {d: r for d, (r, _) in hq.items()}
+    assert ranks == {d: r for d, (r, _) in hz.items() if r}
+    assert ranks == brute_reduced_betti(K.maximal_faces)
 
 
 def test_field_rank_paths_agree_with_oracles():

@@ -1,10 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+from conftest import run_python
 from torictop import (
     EvenBettiData,
     InputError,
@@ -80,10 +76,10 @@ def test_order_and_root_tests_end_at_once_when_u_shares_a_factor_with_p():
     assert multiplicative_order(2, 9) == 6 and multiplicative_order(-1, 7) == 2
     # every residue mod 1 is 0, and there are none mod 0; a child process under a
     # timeout, so that a search for the order that never ends fails the test
-    code = """
+    proc = run_python("""
 from torictop.errors import InputError
 from torictop.splitting import is_primitive_root, multiplicative_order
-for u, p in ((1, 1), (0, 1), (1, 0)):
+for u, p in ((1, 1), (0, 1), (1, 0), (2, 0), (0, 0)):
     for f in (multiplicative_order, is_primitive_root):
         try:
             f(u, p)
@@ -91,12 +87,27 @@ for u, p in ((1, 1), (0, 1), (1, 0)):
             assert str(e) == f"the modulus p={p} must be at least 2", e
         else:
             raise AssertionError((f.__name__, u, p))
-"""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=20)
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_primitive_root_and_eigen_scalar_refuse_p_above_the_splitting_bound():
+    # each loops over all p - 1 residues, so a large prime would not return;
+    # in a child process under a timeout, so that such a loop fails the test
+    proc = run_python("""
+from torictop.errors import InputError
+from torictop.splitting import eigen_scalar, primitive_root
+for p in (1099511627791, 65537):
+    for call in (lambda: primitive_root(p), lambda: eigen_scalar(p, 3, 1, 1)):
+        try:
+            call()
+        except InputError as e:
+            assert str(e).endswith(f"it would emit {p - 1} pieces"), e
+        else:
+            raise AssertionError(p)
+u = primitive_root(65521)
+assert (u, eigen_scalar(65521, u, 1, 1), eigen_scalar(65521, u, 1, 2)) == (17, 23125, 0)
+""")
     assert proc.returncode == 0, proc.stderr
 
 
