@@ -9,12 +9,13 @@ table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``red
 ``kernel_basis`` and the field objects) for the sparse eliminator in
 ``linalg``; ``reference_smith_normal_form``, the previous Smith normal form,
 for ``homology.smith_normal_form``; ``face_ring_cohomology``, the library's
-previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse``
-for ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the
-previous wedge splitting that builds and reduces every full subcomplex, for
-``wedge_splitting``; and the symbolic mod-2 presentations
-(``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
-``cohomology_ring`` over F2 and ``cube_census``.
+previous cohomology engine, for ``cohomology_ring``; the integer adjugate
+``unimodular_inverse`` for ``quasitoric.linear_forms``;
+``per_subset_wedge_splitting``, the previous wedge splitting that builds
+and reduces every full subcomplex, for ``wedge_splitting``; and the
+symbolic mod-2 presentations (``cube_presentation``,
+``product_presentation``, ``cube_parameters``) for ``cohomology_ring`` over
+F2 and ``cube_census``.
 """
 
 from __future__ import annotations

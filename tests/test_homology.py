@@ -241,7 +241,7 @@ def test_graded_homology_serialization_round_trip():
 
 
 def test_snf_matches_sympy_and_gives_the_rank():
-    # over Z the homology takes ranks from the SNF alone, so check its
+    # over Z and Q the homology takes ranks from the SNF alone, so check its
     # invariant factors against sympy and its rank against rank_int
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
