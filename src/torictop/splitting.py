@@ -81,7 +81,7 @@ def is_primitive_root(u: int, p: int) -> bool:
 
 def primitive_root(p: int) -> int:
     """Smallest positive primitive root mod p, for p up to SPLIT_PRIME_BOUND:
-    the search is linear in p.
+    the order of each candidate is found by walking its powers.
 
     >>> [primitive_root(p) for p in (3, 5, 7, 11)]
     [2, 2, 3, 2]
