@@ -9,7 +9,8 @@ Reports are deterministic byte-for-byte for fixed inputs and version.
 
 from __future__ import annotations
 
-import gc
+import atexit
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -22,8 +23,8 @@ from .errors import ConsistencyError, InputError, require_ints
 
 
 def _read_input(args) -> tuple[dict, bytes]:
+    from . import fixtures
     if getattr(args, "fixture", None):
-        from . import fixtures
         data = fixtures.raw(args.fixture)
     elif getattr(args, "input", None):
         try:
@@ -33,10 +34,9 @@ def _read_input(args) -> tuple[dict, bytes]:
             raise InputError(f"cannot read {args.input}: {e}")
     else:
         raise InputError("provide --input FILE or --fixture NAME")
-    import json
     try:
-        obj = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        obj = fixtures.loads(data.decode())
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
         raise InputError(f"input is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
@@ -79,12 +79,9 @@ def input_digest(data: bytes) -> str:
     """Hex SHA-256 of ``data``.  The builtin module imports about ten times
     faster than ``hashlib``, which loads OpenSSL first."""
     try:
-        from _sha2 import sha256  # Python 3.12 and later
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
     except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
+        from hashlib import sha256
     return sha256(data).hexdigest()
 
 
@@ -140,14 +137,19 @@ def _emit(report: dict, args) -> None:
         payload = "\n".join(lines) + "\n"
     else:
         payload = report_json(report) + "\n"
-    if getattr(args, "output", None):
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(payload)
-        except OSError as e:
-            raise InputError(f"cannot write {args.output}: {e}")
-    else:
-        sys.stdout.write(payload)
+    _write(payload, getattr(args, "output", None))
+
+
+def _write(text: str, path=None) -> None:
+    try:
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:  # flushed here, so that a stdout that cannot be written is an input error
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        raise InputError(f"cannot write {path or 'stdout'}: {e}")
 
 
 def _render_text(report: dict) -> list[str]:
@@ -390,8 +392,10 @@ def _help(command=None) -> str:
 
 
 def _exit(code: int, text: str, command=None):
-    (sys.stderr if code else sys.stdout).write(
-        f"{_usage(command)}\ntorictop: error: {text}\n" if code else text)
+    if code:
+        sys.stderr.write(f"{_usage(command)}\ntorictop: error: {text}\n")
+    else:
+        _write(text)  # help or the version
     raise SystemExit(code)
 
 
@@ -454,8 +458,8 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    func, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        func, args = _parse(sys.argv[1:] if argv is None else list(argv))
         _emit(func(args), args)
     except InputError as e:
         print(f"torictop: input error: {e}", file=sys.stderr)
@@ -467,12 +471,21 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Entry point of ``torictop`` and ``python -m torictop.cli``.  Freezing the collector
-    on exit leaves the final collections nothing to walk; flushing and atexit still run."""
+    """Entry point of ``torictop`` and ``python -m torictop.cli``: atexit handlers, flush, then
+    ``os._exit``, which skips module teardown.  An exception or a non-int exit code exits as usual."""
     try:
-        raise SystemExit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as e:  # --help, --version or a usage error
+        if not isinstance(e.code, int):
+            raise
+        code = e.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError:  # what main wrote is flushed; _write has reported its failure
+        pass
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

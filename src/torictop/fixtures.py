@@ -6,13 +6,30 @@ package data installs with the package.
 
 from __future__ import annotations
 
-import json
 import os
+from _json import make_scanner  # json's own C scanner
+from types import SimpleNamespace
 
 from .complexes import PolytopeDual, validate_complex
 from .errors import InputError, require_int
 
 _DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+_SCAN = make_scanner(SimpleNamespace(  # with the settings of json.loads
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={c: float(c) for c in ("-Infinity", "Infinity", "NaN")}.__getitem__))
+
+
+def loads(text: str):
+    """``json.loads(text)`` by json's C scanner alone, which imports none of json's Python
+    modules; on any failure json reads ``text`` again, so errors keep their type and text."""
+    try:
+        obj, end = _SCAN(text, len(text) - len(text.lstrip(" \t\n\r")))
+        if not text[end:].strip(" \t\n\r"):
+            return obj
+    except (StopIteration, ValueError, RecursionError):  # what the scanner raises on a str
+        pass
+    import json
+    return json.loads(text)
 
 
 def names() -> list[str]:
@@ -28,7 +45,7 @@ def raw(name: str) -> bytes:
 
 
 def load(name: str) -> dict:
-    return json.loads(raw(name).decode())
+    return loads(raw(name).decode())
 
 
 def polytope_from_json(obj: dict) -> PolytopeDual:

@@ -16,7 +16,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from torictop import __version__, fixtures
-from torictop.cli import COMMANDS, _parse, input_digest, main, report_json, run
+from torictop.cli import COMMANDS, _parse, input_digest, main, report_json
 from torictop.complexes import join, simplex_boundary
 from torictop.errors import ConsistencyError
 
@@ -29,14 +29,21 @@ def run_cli(capsys, *argv):
     return rc, out
 
 
-def run_subprocess(*argv, text=True, timeout=60):
-    """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
+def cli_env() -> dict[str, str]:
+    """This environment with the checkout's src/ first on the module path and
+    stdout buffered, as it is by default."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_subprocess(*argv, text=True, timeout=60):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows."""
     return subprocess.run(
         [sys.executable, "-m", "torictop.cli", *argv],
-        capture_output=True, text=text, env=env, timeout=timeout,
+        capture_output=True, text=text, env=cli_env(), timeout=timeout,
     )
 
 
@@ -330,6 +337,18 @@ def test_exit_code_2_on_bad_json(capsys, tmp_path):
     assert rc == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"n": %s}' % ("1" * 5000)],
+                         ids=["too-deep", "too-many-digits"])
+def test_exit_code_2_on_json_that_python_cannot_hold(tmp_path, text):
+    # json raises RecursionError and a plain ValueError here, not JSONDecodeError
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run_subprocess("hvec", "--input", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("torictop: input error: input is not valid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_2_on_invalid_matrix(capsys, tmp_path):
     obj = {
         "polytope": {"n": 2, "complex": {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [4, 1]]}},
@@ -459,6 +478,8 @@ HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_
 
 # what the standard library's argument parser loads; the CLI's own parser needs none of it
 PARSER_MODULES = {"argparse", "gettext", "locale", "textwrap"}
+# json's Python modules: input is parsed by its C scanner alone, reports written without it
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder"}
 
 
 def test_version_loads_no_compute_module():
@@ -476,7 +497,7 @@ def test_zk_over_z_loads_only_what_it_runs(tmp_path):
     loaded = modules_loaded_by("zk", "--coeff", "Z", "--input", str(path))
     assert "torictop.momentangle" in loaded
     assert not loaded & {"fractions", "torictop.projection", "torictop.quasitoric",
-                         "torictop.splitting", "importlib.resources"}
+                         "torictop.splitting", "importlib.resources", *JSON_MODULES}
 
 
 @pytest.mark.parametrize(
@@ -522,7 +543,9 @@ def test_no_subcommand_loads_dataclasses(argv, tmp_path):
     tower.write_text('{"dims": [1, 2]}')
     argv = [str(tower) if a == "TOWER" else a for a in argv]
     loaded = modules_loaded_by(*argv)
-    assert not loaded & {"dataclasses", *PARSER_MODULES}
+    assert not loaded & {"dataclasses", *PARSER_MODULES, *JSON_MODULES}
+    # only the text rendering loads json
+    assert JSON_MODULES <= modules_loaded_by(*argv, "--text")
     # the input digest takes the builtin SHA-256, never OpenSSL's, which is slow to load
     if HAS_BUILTIN_SHA256:
         assert "_hashlib" not in loaded
@@ -571,8 +594,8 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the exit path: run() freezes the collector before the interpreter exits,
-# main() never touches it
+# the exit path: run() runs the atexit handlers, flushes the streams and ends
+# the process with os._exit; main() returns its code and never touches the collector
 
 
 def test_version_in_a_fresh_process():
@@ -613,18 +636,116 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_run_freezes_the_collector_on_every_exit(monkeypatch, capsys):
-    for argv, code in [(["--version"], 0), (["hvec", "--fixture", "polygon6"], 0),
-                       (["hvec", "--fixture", "no_such_fixture"], 2)]:
-        monkeypatch.setattr(sys, "argv", ["torictop", *argv])
-        gc.unfreeze()
+# Calls run() for each argv in sys.argv[1] (JSON) with os._exit replaced by a
+# sentinel that carries the code, and prints, per call, the code and the events
+# seen in order: the atexit handler registered beforehand, each flush of stdout
+# with the text it held, and the exit.  It runs in a child interpreter, because
+# run() also runs every atexit handler of its process, and in pytest's process
+# those are pytest's and logging's own.
+RUN_WITH_OS_EXIT_PATCHED = """
+import atexit, io, json, os, sys
+from torictop import cli
+
+class Exit(BaseException):
+    pass
+
+class Stdout(io.StringIO):
+    def flush(self):
+        events.append(["flush", self.getvalue()])
+
+def sentinel(code):
+    events.append(["exit", code])
+    raise Exit(code)
+
+cli.os._exit = sentinel
+calls = []
+for argv in json.loads(sys.argv[1]):
+    events = []
+    atexit.register(events.append, ["atexit"])
+    sys.argv, sys.stdout = ["torictop", *argv], Stdout()
+    try:
+        cli.run()
+    except Exit as e:
+        calls.append([e.args[0], events])
+    sys.stdout = sys.__stdout__
+print(json.dumps(calls))
+"""
+
+
+def test_run_exits_through_os_exit_after_atexit_and_the_flush():
+    cases = [(["--version"], 0), (["hvec", "--fixture", "polygon6"], 0),
+             (["hvec", "--fixture", "no_such_fixture"], 2)]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITH_OS_EXIT_PATCHED, json.dumps([a for a, _ in cases])],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert len(calls) == len(cases)
+    for (argv, code), (got, events) in zip(cases, calls):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        assert got == code, argv
+        # main flushed what it wrote; then the handler ran, stdout was flushed whole
+        # once more and the process ended
+        flushed = [["flush", out.getvalue()]] if out.getvalue() else []
+        assert events == [*flushed, ["atexit"], ["flush", out.getvalue()], ["exit", code]], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["--help"],
+        ["hvec", "--fixture", "polygon6"],
+        ["hvec", "--no-such-flag"],
+        ["hvec", "--input", "NOT_JSON"],
+        # a report above the 64 KiB a pipe buffers, so the flush before os._exit must wait
+        ["zk", "--input", "POLYGON9", "--coeff", "Z"],
+    ],
+    ids=["version", "help", "hvec", "usage-error", "not-json", "zk-above-64KiB"],
+)
+def test_a_fresh_process_matches_main(argv, tmp_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "polygon9.json").write_text(
+        json.dumps({"m": 9, "facets": [[i, i % 9 + 1] for i in range(1, 10)]}))
+    paths = {"NOT_JSON": str(tmp_path / "bad.json"), "POLYGON9": str(tmp_path / "polygon9.json")}
+    argv = [paths.get(a, a) for a in argv]
+    proc = run_subprocess(*argv, text=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            with pytest.raises(SystemExit) as exc:
-                run()
-        finally:
-            frozen = gc.get_freeze_count()
-            gc.unfreeze()
-        assert exc.value.code == code and frozen > 0
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.getvalue().encode(), err.getvalue().encode())
+    if argv[0] == "zk":
+        assert len(proc.stdout) > 65536
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["zk", "-h"], ["hvec", "--fixture", "polygon6"],
+     # a report larger than the stdout buffer fails in the write, not in the flush
+     ["zk", "--fixture", "polygon8", "--coeff", "Z"]],
+    ids=["version", "help", "hvec", "zk-polygon8"],
+)
+def test_unwritable_stdout_exits_2_with_one_line(argv, buffered):
+    env = cli_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "torictop.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    # one line, no traceback and no "Exception ignored" from a second flush
+    assert proc.stderr == "torictop: input error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_console_script_is_run():
@@ -704,6 +825,83 @@ def test_report_json_refuses_what_is_not_a_report_type(tree):
     # json.dumps would write the float and turn the int key into a string
     with pytest.raises(TypeError):
         report_json(tree)
+
+
+# ---------------------------------------------------------------------------
+# the input parser, json's C scanner alone, against json.loads
+
+
+def typed(x):
+    """``x`` with the type of every node and the repr of every float, so that NaN
+    equals NaN, -0.0 differs from 0.0 and 1 differs from True and 1.0."""
+    if type(x) is dict:
+        return dict, [(k, typed(v)) for k, v in x.items()]
+    if type(x) is list:
+        return list, [typed(v) for v in x]
+    return type(x), repr(x) if type(x) is float else x
+
+
+def check_loads(text):
+    """``fixtures.loads(text)`` gives the value of ``json.loads(text)``, or its error
+    type and message; a text that json reads is read without calling json."""
+    def outcome(parse):
+        try:
+            return typed(parse(text))
+        except Exception as e:
+            return type(e), str(e)
+
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json, "loads", lambda s, json_loads=json.loads: fallbacks.append(s) or json_loads(s))
+        got = outcome(fixtures.loads)
+    expected = outcome(json.loads)
+    assert got == expected
+    if not issubclass(expected[0], BaseException):
+        assert not fallbacks
+
+
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), REPORT_INTS, st.floats(), REPORT_STRINGS),
+    lambda trees: st.one_of(st.lists(trees, max_size=5),
+                            st.dictionaries(REPORT_STRINGS, trees, max_size=5)),
+    max_leaves=25)
+JSON_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=4)
+
+
+@st.composite
+def json_texts(draw):
+    """A json.dumps text with random indent and surrounding whitespace, left whole,
+    truncated, or with a BOM, a non-JSON space or other data before or after it."""
+    indent = draw(st.sampled_from([None, 0, 1, 2, "\t"]))
+    text = json.dumps(draw(JSON_TREES), indent=indent, ensure_ascii=draw(st.booleans()))
+    text = draw(JSON_SPACE) + text + draw(JSON_SPACE)
+    junk = st.sampled_from(["x", "0", "{}", "]", ",", " 1", "\x0b", "\xa0", "\u2028", "\ufeff"])
+    how = draw(st.sampled_from(["whole", "whole", "truncated", "before", "after"]))
+    if how == "truncated":
+        return text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+    if how == "before":
+        return draw(junk) + text
+    if how == "after":
+        return text + draw(junk)
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=json_texts())
+def test_loads_matches_json_loads(text):
+    check_loads(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "NaN", "-Infinity", "Infinity", "[NaN, -Infinity]", "nan", "1e400", "-0", "-0.0",
+     '"a\x01b"', '"tab\tin"', '"\\ud800"', '"x\\udc00"', '"\\ud83d\\ude00"', '"\\x"',
+     '{"a": 1, "a": 2}', '{"a" 1}', "[1,]", "tru", "1 2", "\ufeff{}", " \ufeff{}",
+     "1" * 5000, "[" * 100_000, "[" * 500 + "]" * 500],
+    ids=lambda text: repr(text) if len(text) < 20 else f"{text[:3]!r}...{len(text)}",
+)
+def test_loads_matches_json_loads_on_edge_cases(text):
+    check_loads(text)
 
 
 # ---------------------------------------------------------------------------
