@@ -36,7 +36,7 @@ def _read_input(args) -> tuple[dict, bytes]:
         raise InputError("provide --input FILE or --fixture NAME")
     try:
         obj = fixtures.loads(data.decode())
-    except (ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as e:  # JSONDecodeError and UnicodeDecodeError too
         raise InputError(f"input is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
@@ -482,7 +482,7 @@ def run() -> None:
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
-    except OSError:  # what main wrote is flushed; _write has reported its failure
+    except OSError:  # main flushed what it wrote, and _write has reported a failure
         pass
     sys.stderr.flush()
     os._exit(code)

@@ -337,16 +337,23 @@ def test_exit_code_2_on_bad_json(capsys, tmp_path):
     assert rc == 2 and "input error" in err
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, '{"n": %s}' % ("1" * 5000)],
-                         ids=["too-deep", "too-many-digits"])
-def test_exit_code_2_on_json_that_python_cannot_hold(tmp_path, text):
-    # json raises RecursionError and a plain ValueError here, not JSONDecodeError
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"n": 2, "complex": ', "{} x", "\ufeff{}", '{"n": NaN', '"\x01"',
+     # json raises RecursionError and a plain ValueError here, not JSONDecodeError
+     "[" * 100_000, '{"n": %s}' % ("1" * 5000)],
+    ids=["syntax", "truncated", "trailing-data", "bom", "constant", "control-character",
+         "too-deep", "too-many-digits"],
+)
+def test_exit_code_2_on_bad_json_in_a_fresh_process(tmp_path, text):
+    # where json is not loaded, as in a fresh CLI call, its error still reads as json's
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     proc = run_subprocess("hvec", "--input", str(path))
+    with pytest.raises(Exception) as exc:
+        json.loads(text)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("torictop: input error: input is not valid JSON: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"torictop: input error: input is not valid JSON: {exc.value}\n"
 
 
 def test_exit_code_2_on_invalid_matrix(capsys, tmp_path):
@@ -640,8 +647,8 @@ def test_main_leaves_the_collector_unfrozen(capsys):
 # sentinel that carries the code, and prints, per call, the code and the events
 # seen in order: the atexit handler registered beforehand, each flush of stdout
 # with the text it held, and the exit.  It runs in a child interpreter, because
-# run() also runs every atexit handler of its process, and in pytest's process
-# those are pytest's and logging's own.
+# run() runs every atexit handler of its process: in pytest's process, those that
+# pytest and the modules it loaded registered would run, and be cleared, mid-session.
 RUN_WITH_OS_EXIT_PATCHED = """
 import atexit, io, json, os, sys
 from torictop import cli
