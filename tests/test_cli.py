@@ -650,7 +650,7 @@ def test_main_leaves_the_collector_unfrozen(capsys):
 # run() runs every atexit handler of its process: in pytest's process, those that
 # pytest and the modules it loaded registered would run, and be cleared, mid-session.
 RUN_WITH_OS_EXIT_PATCHED = """
-import atexit, io, json, os, sys
+import atexit, io, json, sys
 from torictop import cli
 
 class Exit(BaseException):
