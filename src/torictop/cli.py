@@ -391,9 +391,16 @@ def _help(command=None) -> str:
         f"\n{name}\n" if text is None else f"  {name:<{width}}  {text}\n" for name, text in rows)
 
 
+def _say(text: str) -> None:
+    try:
+        print(text, file=sys.stderr)
+    except OSError:  # stderr cannot be written: the exit code is all that is left to tell
+        pass
+
+
 def _exit(code: int, text: str, command=None):
     if code:
-        sys.stderr.write(f"{_usage(command)}\ntorictop: error: {text}\n")
+        _say(f"{_usage(command)}\ntorictop: error: {text}")
     else:
         _write(text)  # help or the version
     raise SystemExit(code)
@@ -462,10 +469,10 @@ def main(argv=None) -> int:
         func, args = _parse(sys.argv[1:] if argv is None else list(argv))
         _emit(func(args), args)
     except InputError as e:
-        print(f"torictop: input error: {e}", file=sys.stderr)
+        _say(f"torictop: input error: {e}")
         return 2
     except ConsistencyError as e:
-        print(f"torictop: internal consistency failure: {e}", file=sys.stderr)
+        _say(f"torictop: internal consistency failure: {e}")
         return 3
     return 0
 
@@ -480,11 +487,11 @@ def run() -> None:
             raise
         code = e.code
     atexit._run_exitfuncs()
-    try:
-        sys.stdout.flush()
-    except OSError:  # main flushed what it wrote, and _write has reported a failure
-        pass
-    sys.stderr.flush()
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except OSError:  # _write has reported a stdout failure, and _say ignores stderr's
+            pass
     os._exit(code)
 
 

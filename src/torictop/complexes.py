@@ -13,6 +13,7 @@ vertices matter for full subcomplexes and are preserved by them.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from ._record import _Field, _frozen
 from .errors import CapExceededError, InputError
@@ -80,20 +81,22 @@ class SimplicialComplex:
         return any(mask & ~f == 0 for f in self.masks)
 
     def faces_by_card(self) -> dict[int, list[int]]:
-        """All faces grouped by vertex count, as sorted mask lists.
-
-        Cardinality 0 (the empty face) is always present with count 1.
+        """All faces grouped by vertex count, as sorted mask lists, keyed in
+        increasing count from 0 (the empty face, always present with count 1).
+        The listing is made once and shared: callers must not change it.
         """
-        seen: set[int] = set()
-        for top in self.masks:
-            for sub in _submasks(top):
-                seen.add(sub)
+        return self._faces
+
+    @cached_property
+    def _faces(self) -> dict[int, list[int]]:  # the one face listing, on the instance
         out: dict[int, list[int]] = {}
-        for f in seen:
+        for f in sorted({sub for top in self.masks for sub in _submasks(top)}):
             out.setdefault(f.bit_count(), []).append(f)
-        for lst in out.values():
-            lst.sort()
         return out
+
+    @cached_property
+    def _face_index(self) -> dict[int, int]:  # face -> place in its card's list; the face set
+        return {f: i for lst in self._faces.values() for i, f in enumerate(lst)}
 
     def minimal_non_faces(self) -> list[int]:
         """Masks of the vertex sets that are not faces although every set one
@@ -102,7 +105,7 @@ class SimplicialComplex:
         Each one is a face plus a vertex above all of the face's vertices, so
         only those candidates are tested, never all 2^m subsets.
         """
-        faces = {f for top in self.masks for f in _submasks(top)}
+        faces = self._face_index
         out = []
         for f in faces:
             for v in range(f.bit_length(), self.m):
@@ -164,11 +167,8 @@ def validate_complex(raw, m: int) -> SimplicialComplex:
     for f in sorted(set(faces), key=lambda x: -x.bit_count()):
         if not any(f & ~g == 0 for g in maximal):
             maximal.append(f)
-    if not maximal or maximal == [0]:
-        maximal = [0]
-    else:
-        maximal = [f for f in maximal if f != 0]
-    return SimplicialComplex(m=m, masks=tuple(sorted(maximal)))
+    # the empty face is absorbed by any other, so it is kept only when it is the only face
+    return SimplicialComplex(m=m, masks=tuple(sorted(maximal or [0])))
 
 
 def full_subcomplex(K: SimplicialComplex, I) -> SimplicialComplex:

@@ -7,7 +7,7 @@ universal coefficients.  Invariant factors are unique, so the result does
 not depend on the pivot order.  F_p ranks come from the sparse field
 eliminator ``linalg.echelon`` on Python ints reduced mod p, exact for every
 prime.  One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and
-'F<p>'.
+'F<p>' and remembers the last few, so each function takes the tag alone.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -200,13 +200,12 @@ class GradedHomology:
         ]
 
 
-def _homology_from_boundaries(
-    boundaries: list[IntegerMatrix], dims: list[int], base_degree: int, coeff: str, p=None
-) -> GradedHomology:
+def _homology_from_boundaries(boundaries: list[IntegerMatrix], dims: list[int],
+                              base_degree: int, coeff: str) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
     boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.
     Trusts the maps to chain and to compose to zero (see chain_homology)."""
-    p = linalg.coeff_prime(coeff, allow_z=True) if p is None else p
+    p = linalg.coeff_prime(coeff, allow_z=True)
     torsion = [()] * len(boundaries)
     if p:
         ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
@@ -223,9 +222,8 @@ def _homology_from_boundaries(
         tors = torsion[k] if k < len(boundaries) else ()
         if free < 0:
             raise InputError("rank bookkeeping failed; input is not a chain complex")
-        if free or tors:
-            groups[base_degree + k] = (free, tors)
-    return GradedHomology.from_dict(coeff, groups)
+        groups[base_degree + k] = (free, tors)
+    return GradedHomology.from_dict(coeff, groups)  # which drops the zero groups
 
 
 def chain_homology(boundaries: list[IntegerMatrix], coeff: str = "Z") -> GradedHomology:
@@ -259,38 +257,33 @@ def boundary_matrices(K: SimplicialComplex) -> tuple[list[IntegerMatrix], list[i
     face and the first boundary map is the augmentation.  Returns the maps
     (position k+1 -> position k) and the chain group dimensions.
     """
-    by_card = K.faces_by_card()
-    top = max(by_card)
-    basis = [by_card.get(c, []) for c in range(top + 1)]
-    index = [{mask: i for i, mask in enumerate(lst)} for lst in basis]
+    basis = list(K.faces_by_card().values())  # faces by vertex count 0, 1, ..., dim + 1
+    index = K._face_index
     dims = [len(lst) for lst in basis]
     mats = []
-    for c in range(1, top + 1):
+    for c in range(1, len(basis)):
         rows = [[0] * dims[c] for _ in range(dims[c - 1])]
         for col, mask in enumerate(basis[c]):
             sign = 1
             rem = mask
             while rem:
                 low = rem & -rem
-                rows[index[c - 1][mask & ~low]][col] = sign
+                rows[index[mask & ~low]][col] = sign
                 sign = -sign
                 rem &= rem - 1
         mats.append(IntegerMatrix(dims[c - 1], dims[c], tuple(map(tuple, rows))))
     return mats, dims
 
 
-def reduced_homology(K: SimplicialComplex, coeff: str = "Z", p=None) -> GradedHomology:
+def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
     """Reduced simplicial homology of |K|.
 
     The augmented complex makes the conventions uniform: a complex with two
     isolated vertices has rank 1 in degree 0, and the empty complex (only
-    the empty face) has rank 1 in degree -1.  A caller reducing many complexes
-    passes ``p = linalg.coeff_prime(coeff, allow_z=True)`` to parse the tag once.
+    the empty face) has rank 1 in degree -1.
     """
     mats, dims = boundary_matrices(K)
-    if not mats:  # only the empty face
-        return GradedHomology.from_dict(coeff, {-1: (1, ())})
-    return _homology_from_boundaries(mats, dims, -1, coeff, p)
+    return _homology_from_boundaries(mats, dims, -1, coeff)
 
 
 def homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:

@@ -10,6 +10,8 @@ reduced mod p, so it is exact for every prime; over Q it uses Fractions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InputError
 
 
@@ -116,10 +118,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
 def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
     """Parse a coefficient tag: p for 'F<p>' and 0 for 'Q', the ``p`` of
     ``echelon``, and None for 'Z' where ``allow_z`` admits it.  'F<p>' is
-    refused unless p < PRIME_BOUND is prime."""
+    refused unless p < PRIME_BOUND is prime.  The last 16 tags read are kept."""
     if coeff == "Q":
         return 0
     if coeff == "Z" and allow_z:

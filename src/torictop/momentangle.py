@@ -187,7 +187,7 @@ def wedge_splitting(
         size_filter = set(size_filter)
         if any(s < 1 or s > K.m for s in size_filter):
             raise InputError("size filter values must lie in 1..m")
-    p = coeff_prime(coeff, allow_z=True)  # parsed once; refused even if every summand is a cone
+    coeff_prime(coeff, allow_z=True)  # a bad tag is refused even if every summand is a cone
 
     is_cone, factors = _summand_structure(K)
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join
@@ -195,7 +195,7 @@ def wedge_splitting(
 
     def piece(mask: int) -> GradedHomology:
         if mask not in pieces:
-            pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff, p)
+            pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
         return pieces[mask]
 
     summands: list[WedgeSummand] = []
@@ -210,7 +210,7 @@ def wedge_splitting(
         if cone:
             hom = GradedHomology(coeff, ())
         elif len(factors) == 1:
-            hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff, p)
+            hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
         else:
             hom = unit
             for V in factors:

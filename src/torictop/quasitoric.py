@@ -155,7 +155,7 @@ class CohomologyPresentation:
         return obj
 
 
-def _face_monomials(k: int, bits: list[int], faces: set[int], mask: int = 0) -> list[tuple]:
+def _face_monomials(k: int, bits: list[int], faces: dict, mask: int = 0) -> list[tuple]:
     """Exponent vectors of degree k over the vertex bits, lexicographically
     descending, whose support joined with ``mask`` is a face.
 
@@ -207,7 +207,7 @@ def cohomology_ring(
 
     # A w-monomial whose support is a non-face lies in the ideal, and so does
     # every multiple of it: only face-supported w-monomials need a column.
-    faces = {f for lst in K.faces_by_card().values() for f in lst}
+    faces = K._face_index
 
     def supported(alpha):
         return sum(1 << (v - 1) for v, a in zip(free, alpha) if a) in faces
@@ -237,16 +237,16 @@ def cohomology_ring(
     systems, w_basis = [], []
     for k, cols in enumerate(monomials):
         col_index = {c: i for i, c in enumerate(cols)}
-        rows = []
-        for d, poly in images:
-            for alpha in monomials[k - d] if k >= d else ():
-                row = [0] * len(cols)
-                for exp, c in poly.items():
-                    idx = col_index.get(tuple(a + b for a, b in zip(alpha, exp)))
-                    if idx is not None:
-                        row[idx] = c
-                rows.append(row)
-        pivots = linalg.echelon(rows, p)
+        def rows():  # one at a time, so that only the pivot rows are ever kept
+            for d, poly in images:
+                for alpha in monomials[k - d] if k >= d else ():
+                    row = [0] * len(cols)
+                    for exp, c in poly.items():
+                        idx = col_index.get(tuple(a + b for a, b in zip(alpha, exp)))
+                        if idx is not None:
+                            row[idx] = c
+                    yield row
+        pivots = linalg.echelon(rows(), p)
         basis_cols = [c for c in reversed(range(len(cols))) if c not in pivots]
         want = h[k] if k <= n else 0
         if len(basis_cols) != want:

@@ -15,7 +15,9 @@ previous cohomology engine, for ``cohomology_ring``; the integer adjugate
 and reduces every full subcomplex, for ``wedge_splitting``; and the
 symbolic mod-2 presentations (``cube_presentation``,
 ``product_presentation``, ``cube_parameters``) for ``cohomology_ring`` over
-F2 and ``cube_census``.
+F2 and ``cube_census``.  Besides the oracles it holds test inputs and probes:
+``stellar_sphere`` builds polytopal spheres around a given complex, and the
+``face_listings`` fixture records each face listing the library makes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from torictop import __version__, cli, linalg
 from torictop.cli import (
@@ -452,6 +456,41 @@ def random_complex_faces(rng: random.Random, m: int, n_faces: int, max_card: int
         card = rng.randint(1, max_card)
         faces.append(sorted(rng.sample(range(1, m + 1), min(card, m))))
     return faces
+
+
+def stellar_sphere(l_facets, k: int) -> tuple[int, list[list[int]]]:
+    """(m, sorted facets) of a polytopal (k-2)-sphere whose full subcomplex on
+    1..k is the complex L with maximal faces ``l_facets`` on 1..k.
+
+    Starts from the boundary of the simplex on 1..k and stellarly subdivides
+    each minimal non-face of L other than 1..k, in order of size, on the new
+    vertices k+1, k+2, ...  A subdivided face stops being a face, and a subset
+    of 1..k that contains none of them stays one, so the full subcomplex on
+    1..k is L.  The minimal non-faces form an antichain, so each is still a
+    face when its turn comes.
+    Stellar subdivisions of the boundary of a simplicial polytope are again
+    such boundaries (Ewald and Shephard, Math. Ann. 210 (1974)), so the result
+    is the dual complex of a simple (k-1)-polytope.
+    """
+    faces = powerset_faces(l_facets)
+    non_faces = [s for r in range(1, k) for s in itertools.combinations(range(1, k + 1), r)
+                 if s not in faces and all(t in faces for t in itertools.combinations(s, r - 1))]
+    facets = [set(range(1, k + 1)) - {v} for v in range(1, k + 1)]
+    for m, sigma in enumerate(map(set, non_faces), start=k + 1):
+        facets = ([f for f in facets if not sigma <= f]
+                  + [f - {u} | {m} for f in facets if sigma <= f for u in sigma])
+    return k + len(non_faces), sorted(sorted(f) for f in facets)
+
+
+@pytest.fixture
+def face_listings(monkeypatch) -> list[SimplicialComplex]:
+    """The complexes whose faces are listed during the test, once per listing,
+    recorded at the one listing point, ``SimplicialComplex._faces``."""
+    listed = []
+    listing = SimplicialComplex.__dict__["_faces"]
+    func = listing.func
+    monkeypatch.setattr(listing, "func", lambda K: listed.append(K) or func(K))
+    return listed
 
 
 def run_python(code: str, timeout: float = 20) -> subprocess.CompletedProcess:

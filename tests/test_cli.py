@@ -402,9 +402,10 @@ def test_zk_accepts_prime_beyond_int64(capsys):
 
 
 def test_zk_tests_the_prime_of_its_tag_once(capsys, monkeypatch):
-    # the splitting parses the tag once and hands p to every summand's kernel
+    # the splitting and every summand's kernel read the tag, and its prime is tested once
     from torictop import linalg
 
+    linalg.coeff_prime.cache_clear()  # a tag read earlier in this process is remembered
     tested = []
     is_prime = linalg.is_prime
     monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or is_prime(n))
@@ -570,6 +571,32 @@ def test_exit_code_3_on_consistency_failure(capsys, monkeypatch):
     rc = main(["qtm", "--fixture", "cp2"])
     err = capsys.readouterr().err
     assert rc == 3 and "consistency" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hvec", "--fixture", "bott3"],
+        ["split", "--fixture", "bott3", "--p", "5"],
+        ["bott", "--input", "tower.json"],
+        ["qtm", "--fixture", "bott3", "--coeff", "F2"],
+        ["nontrivial", "--fixture", "bott3"],
+        ["projection", "--fixture", "bott3", "--p", "5"],
+        ["zk", "--fixture", "polygon6", "--coeff", "F2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_lists_the_faces_of_its_complex_once(argv, face_listings, tmp_path, capsys):
+    (tmp_path / "tower.json").write_text('{"dims": [2, 2, 1], "params": [[], [[1, -1]], [[2], [1]]]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0, capsys.readouterr().err
+    # the complex of the input has no labels; a full subcomplex K_I, which zk
+    # and projection reduce, carries I as its labels
+    assert [K.labels for K in face_listings].count(None) == 1
+    keys = [(K.labels, K.masks) for K in face_listings]
+    assert len(keys) == len(set(keys))
+    if argv[0] not in ("zk", "projection"):
+        assert len(keys) == 1
 
 
 def test_text_mode(capsys):
@@ -753,6 +780,39 @@ def test_unwritable_stdout_exits_2_with_one_line(argv, buffered):
     assert proc.returncode == 2
     # one line, no traceback and no "Exception ignored" from a second flush
     assert proc.stderr == "torictop: input error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+# a theorem violation cannot be triggered by honest input, so the child simulates one
+_CONSISTENCY_FAILURE = """
+import sys, torictop.cli, torictop.quasitoric
+from torictop.errors import ConsistencyError
+def boom(*args):
+    raise ConsistencyError("simulated")
+torictop.quasitoric.cohomology_ring = boom
+sys.argv = ["torictop", "qtm", "--fixture", "cp2"]
+torictop.cli.run()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["-m", "torictop.cli", "hvec", "--fixture", "nope"], 2),
+        (["-m", "torictop.cli", "hvec", "--no-such-flag"], 2),
+        (["-c", _CONSISTENCY_FAILURE], 3),
+    ],
+    ids=["input-error", "usage-error", "consistency-failure"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(args, code, buffered):
+    env = cli_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, stderr=full,
+                              env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 def test_console_script_is_run():

@@ -266,7 +266,7 @@ def test_polytope_refuses_a_face_listing_above_the_cap_before_it_starts(monkeypa
     def enumerated(self):
         raise AssertionError("faces enumerated before the cap check")
 
-    monkeypatch.setattr(SimplicialComplex, "faces_by_card", enumerated)
+    monkeypatch.setattr(SimplicialComplex.__dict__["_faces"], "func", enumerated)
     with pytest.raises(CapExceededError, match="216 maximal faces of 15 vertices would visit 7077888"):
         PolytopeDual(n=15, complex=K)
 

@@ -55,6 +55,38 @@ INPUTS = {
                      b'[1, 2, 5, 7, 8], [1, 3, 4, 6, 8], [1, 3, 6, 7, 8], [1, 4, 5, 6, 8], '
                      b'[1, 5, 6, 7, 8], [2, 3, 4, 5, 6], [2, 3, 4, 5, 8], [2, 3, 5, 6, 7], '
                      b'[2, 3, 5, 7, 8], [3, 4, 5, 6, 8], [3, 5, 6, 7, 8]]}',
+    # conftest.stellar_sphere on the 6-vertex RP^2: a polytopal 4-sphere on 16
+    # vertices whose full subcomplex on 1..6 is RP^2, so that Z_K has 2-torsion
+    "torsion_sphere.json": b'{"m": 16, "facets": [[1, 2, 3, 7, 8], [1, 2, 3, 7, 10], '
+                           b'[1, 2, 3, 8, 10], [1, 2, 6, 7, 8], [1, 2, 6, 7, 10], '
+                           b'[1, 2, 6, 8, 10], [1, 3, 4, 7, 9], [1, 3, 4, 7, 10], '
+                           b'[1, 3, 4, 9, 10], [1, 3, 7, 8, 9], [1, 3, 8, 9, 10], [1, 4, 5, 7, 9], '
+                           b'[1, 4, 5, 7, 11], [1, 4, 5, 9, 11], [1, 4, 7, 10, 11], '
+                           b'[1, 4, 9, 10, 11], [1, 5, 6, 7, 8], [1, 5, 6, 7, 11], '
+                           b'[1, 5, 6, 8, 9], [1, 5, 6, 9, 11], [1, 5, 7, 8, 9], '
+                           b'[1, 6, 7, 10, 11], [1, 6, 8, 9, 10], [1, 6, 9, 10, 11], '
+                           b'[2, 3, 5, 7, 8], [2, 3, 5, 7, 12], [2, 3, 5, 8, 13], '
+                           b'[2, 3, 5, 12, 13], [2, 3, 7, 10, 13], [2, 3, 7, 12, 13], '
+                           b'[2, 3, 8, 10, 13], [2, 4, 5, 7, 12], [2, 4, 5, 7, 14], '
+                           b'[2, 4, 5, 12, 14], [2, 4, 6, 7, 12], [2, 4, 6, 7, 14], '
+                           b'[2, 4, 6, 12, 14], [2, 5, 7, 8, 14], [2, 5, 8, 13, 14], '
+                           b'[2, 5, 12, 13, 14], [2, 6, 7, 8, 14], [2, 6, 7, 10, 13], '
+                           b'[2, 6, 7, 12, 13], [2, 6, 8, 10, 13], [2, 6, 8, 13, 14], '
+                           b'[2, 6, 12, 13, 14], [3, 4, 6, 7, 10], [3, 4, 6, 7, 12], '
+                           b'[3, 4, 6, 9, 10], [3, 4, 6, 9, 15], [3, 4, 6, 12, 15], '
+                           b'[3, 4, 7, 9, 15], [3, 4, 7, 12, 15], [3, 5, 6, 8, 9], '
+                           b'[3, 5, 6, 8, 13], [3, 5, 6, 9, 15], [3, 5, 6, 12, 13], '
+                           b'[3, 5, 6, 12, 15], [3, 5, 7, 8, 9], [3, 5, 7, 9, 15], '
+                           b'[3, 5, 7, 12, 15], [3, 6, 7, 10, 13], [3, 6, 7, 12, 13], '
+                           b'[3, 6, 8, 9, 10], [3, 6, 8, 10, 13], [4, 5, 7, 9, 15], '
+                           b'[4, 5, 7, 11, 16], [4, 5, 7, 12, 15], [4, 5, 7, 14, 16], '
+                           b'[4, 5, 9, 11, 16], [4, 5, 9, 15, 16], [4, 5, 12, 14, 16], '
+                           b'[4, 5, 12, 15, 16], [4, 6, 7, 10, 11], [4, 6, 7, 11, 16], '
+                           b'[4, 6, 7, 14, 16], [4, 6, 9, 10, 11], [4, 6, 9, 11, 16], '
+                           b'[4, 6, 9, 15, 16], [4, 6, 12, 14, 16], [4, 6, 12, 15, 16], '
+                           b'[5, 6, 7, 8, 14], [5, 6, 7, 11, 16], [5, 6, 7, 14, 16], '
+                           b'[5, 6, 8, 13, 14], [5, 6, 9, 11, 16], [5, 6, 9, 15, 16], '
+                           b'[5, 6, 12, 13, 14], [5, 6, 12, 14, 16], [5, 6, 12, 15, 16]]}',
 }
 TOWERS = ("tower_221.json", "tower_23.json")
 COMPLEXES = ("rp2.json", "rp2_s0.json", "stacked_4_10.json", "join_122.json")
@@ -82,6 +114,9 @@ def golden_calls() -> list[list[str]]:
     calls += [["hvec", "--fixture", name] for name in names]
     calls += [["bott", "--input", name] for name in INPUTS if name.startswith("tower_")]
     calls += [["zk", "--input", name, "--coeff", c] for name in COMPLEXES for c in ZK_COEFFS]
+    # the summands with |I| = 6 only: the full run takes about a minute
+    calls += [["zk", "--input", "torsion_sphere.json", "--coeff", c, "--sizes", "6"]
+              for c in ("Z", "F2", "F3")]
     # towers through the cohomology engine: their bott reports are the qtm inputs
     calls += [["qtm", "--input", f"{t}.qtm", "--coeff", c] for t in TOWERS for c in ("Q", "F2", "F3")]
     calls += [["qtm", "--fixture", "cp2", "--coeff", c] for c in ("Z", "F4", "Fx")]

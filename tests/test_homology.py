@@ -395,6 +395,16 @@ def test_large_primes_give_exact_ranks():
         assert reduced_homology(rp2, tag) == GradedHomology.from_dict(tag, {})
 
 
+def test_reduced_homology_tests_the_prime_of_a_tag_once(monkeypatch):
+    linalg.coeff_prime.cache_clear()  # a tag read earlier in this process is remembered
+    tested = []
+    is_prime = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    K = polygon_boundary(5)
+    assert reduced_homology(K, "F1099511627791") == reduced_homology(K, "F1099511627791")
+    assert tested == [1099511627791]
+
+
 def test_is_prime_is_exact_below_its_bound():
     from sympy import isprime
 

@@ -12,6 +12,7 @@ from conftest import (
     per_subset_wedge_splitting,
     random_complex_faces,
     reduce_ranks,
+    stellar_sphere,
     unreduce,
 )
 from torictop import (
@@ -28,7 +29,9 @@ from torictop import (
     validate_complex,
     wedge_splitting,
 )
+from torictop.complexes import PolytopeDual, f_vector
 from torictop.momentangle import _join_homology
+from test_golden import INPUTS
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -228,6 +231,49 @@ def test_wedge_splitting_matches_the_per_subset_path_on_random_complexes(K, coef
 @given(random_joins(), st.sampled_from(["Z", "Q", "F2", "F3"]), st.booleans())
 def test_wedge_splitting_matches_the_per_subset_path_on_random_joins(K, coeff, keep):
     assert_matches_per_subset_path(K, coeff, keep_trivial=keep)
+
+
+@pytest.fixture(scope="module")
+def torsion_sphere():
+    """The polytopal 4-sphere whose full subcomplex on 1..6 is RP^2, and its
+    wedge summands with |I| = 6 over Z."""
+    m, facets = stellar_sphere(RP2_FACES, 6)
+    K = validate_complex(facets, m)
+    return K, wedge_splitting(K, "Z", size_filter={6})
+
+
+def test_the_torsion_sphere_is_a_polytope_dual_around_rp2(torsion_sphere):
+    K, _ = torsion_sphere
+    m, facets = stellar_sphere(RP2_FACES, 6)
+    assert json.dumps({"m": m, "facets": facets}).encode() == INPUTS["torsion_sphere.json"]
+    assert (K.m, len(K.masks)) == (16, 90)
+    assert f_vector(PolytopeDual(n=5, complex=K)).entries == (1, 16, 87, 208, 225, 90)
+    assert full_subcomplex(K, range(1, 7)) == validate_complex(RP2_FACES, 6)
+
+
+def test_the_torsion_sphere_has_2_torsion_over_z(torsion_sphere):
+    _, sp = torsion_sphere
+    torsion = {s.subset: s.homology.groups for s in sp.summands
+               if any(tors for _, (_, tors) in s.homology.groups)}
+    assert torsion == {(1, 2, 3, 4, 5, 6): ((1, (0, (2,))),)}  # H~_1(RP^2) = Z/2
+    assert sp.total.as_dict()[8] == (1815, (2,))
+    assert sp.total.as_dict()[9] == (313, ())
+
+
+@pytest.mark.parametrize("coeff, want", [("F2", {8: 1816, 9: 314}), ("F3", {8: 1815, 9: 313})])
+def test_the_torsion_sphere_over_a_field_follows_universal_coefficients(torsion_sphere, coeff, want):
+    K, over_z = torsion_sphere
+    p = int(coeff[1:])
+    sp = wedge_splitting(K, coeff, size_filter={6})
+    z = over_z.total.as_dict()
+
+    def p_torsion(d):
+        return sum(1 for t in z.get(d, (0, ()))[1] if t % p == 0)
+
+    expected = {d: z.get(d, (0, ()))[0] + p_torsion(d) + p_torsion(d - 1)
+                for d in set(z) | {d + 1 for d in z}}
+    assert sp.total.as_dict() == {d: (r, ()) for d, r in expected.items() if r}
+    assert {d: sp.total.rank(d) for d in want} == want
 
 
 def test_join_kuenneth_keeps_the_tor_term():

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,6 +41,20 @@ FIELDS = ("Q", "F2", "F3", "F5")
 
 def all_quasitoric_fixtures():
     return [fixtures.load_quasitoric(n) for n in fixtures.quasitoric_names()]
+
+
+def test_the_macaulay_rows_stream_through_the_eliminator():
+    # each row is dropped once reduced, so only the pivot rows stay: under 1 MiB
+    # here, where the dense rows of a degree kept together take about 10 MiB
+    P, lam = generalized_bott([1] * 6)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        cohomology_ring(P, lam, "F2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_validate_characteristic_pinned():
