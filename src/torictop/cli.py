@@ -211,12 +211,11 @@ def _cmd_zk(args) -> dict:
         except ValueError:
             raise InputError(f"bad --sizes value {args.sizes!r}")
     warnings = []
-    default_cap = _cap_for(args.coeff, None)
-    if args.cap is not None and K.m > default_cap:
-        warnings.append(
-            f"m={K.m} is above the default enumeration cap {default_cap}; "
-            "explicit --cap override in effect"
-        )
+    if args.cap is not None:  # _cap_for reads the tag first, so a bad one is refused here
+        default_cap = _cap_for(args.coeff, None)
+        if K.m > default_cap:
+            warnings.append(f"m={K.m} is above the default enumeration cap {default_cap}; "
+                            "explicit --cap override in effect")
     sp = wedge_splitting(K, coeff=args.coeff, size_filter=sizes, cap=args.cap)
     return _report(
         "zk", {"coeff": args.coeff, "sizes": sorted(sizes) if sizes else None},
@@ -288,7 +287,6 @@ def _cmd_projection(args) -> dict:
 
 def _cmd_nontrivial(args) -> dict:
     from .projection import p_local_note, squaring_kernel, two_simplices_check
-    from .quasitoric import cohomology_ring
     if args.two_simplices:
         n, k = args.two_simplices
         verdict = two_simplices_check(n, k)
@@ -296,6 +294,7 @@ def _cmd_nontrivial(args) -> dict:
             "nontrivial", {"two_simplices": [n, k]}, b"", {"verdict": verdict.to_json_obj()},
             verdict.notes,
         )
+    from .quasitoric import cohomology_ring
     obj, data = _read_input(args)
     P, lam = _quasitoric_of(obj)
     pres = cohomology_ring(P, lam, "F2")

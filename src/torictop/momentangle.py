@@ -83,9 +83,11 @@ class WedgeSplitting:
 
 
 def _cap_for(coeff: str, cap: int | None) -> int:
+    """The enumeration cap for ``coeff``; a bad tag is refused first."""
+    kind = coeff_prime(coeff, allow_z=True)  # None for Z, 0 for Q, p for F_p
     if cap is not None:
         return cap
-    return DEFAULT_CAP_FIELD if coeff not in ("Z", "Q") else DEFAULT_CAP_EXACT
+    return DEFAULT_CAP_FIELD if kind else DEFAULT_CAP_EXACT
 
 
 def _summand_structure(K: SimplicialComplex):
@@ -179,7 +181,7 @@ def wedge_splitting(
     summand's homology is the join Kuenneth product of its pieces; a K with
     one factor reduces every remaining K_I directly.
     """
-    limit = _cap_for(coeff, cap)
+    limit = _cap_for(coeff, cap)  # a bad tag is refused before the cap, and once
     if K.m > limit:
         raise CapExceededError(f"m={K.m} exceeds the enumeration cap {limit}: it would enumerate "
                                f"{(1 << K.m) - 1} subsets; pass a larger cap to override")
@@ -187,7 +189,6 @@ def wedge_splitting(
         size_filter = set(size_filter)
         if any(s < 1 or s > K.m for s in size_filter):
             raise InputError("size filter values must lie in 1..m")
-    coeff_prime(coeff, allow_z=True)  # a bad tag is refused even if every summand is a cone
 
     is_cone, factors = _summand_structure(K)
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join

@@ -24,18 +24,14 @@ from __future__ import annotations
 
 from . import linalg
 from ._record import _Field, _frozen
-from .complexes import PolytopeDual, h_vector_of
 from .errors import InputError
-from .momentangle import wedge_splitting
-from .quasitoric import CharacteristicMatrix, CohomologyPresentation, require_admissible
-from .splitting import (
-    EvenBettiData,
-    SplitSummand,
-    split,
-    vanishing_range_check,
-    _require_odd_prime,
-    _require_split_prime,
-)
+
+# Each function imports what it runs, so the census loads no splitting or ring.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .complexes import PolytopeDual
+    from .quasitoric import CharacteristicMatrix, CohomologyPresentation
+    from .splitting import SplitSummand
 
 CERT_SIMPLEX = "simplex"
 CERT_DIMENSION = "dimension"
@@ -110,22 +106,10 @@ class TrivialityCertificate:
         }
 
 
-def _group_of(size: int, p: int) -> int:
-    return (size - 1) % (p - 1) + 1
-
-
-def _plocal_degrees(summand_homology, shift: int, p: int) -> list[int]:
-    """Degrees of the suspended summand visible to p-local homology."""
-    out = []
-    for deg, (rank, tors) in summand_homology.groups:
-        if rank > 0 or any(t % p == 0 for t in tors):
-            out.append(deg + shift)
-    return out
-
-
 def _certify_summand(subset, sub_homology, is_face, sub_dim, p) -> SummandCertificate:
+    from .splitting import residue_class, vanishing_range_check
     size = len(subset)
-    i = _group_of(size, p)
+    i = residue_class(size, p)
     target_dim = 2 * i + 1
     if is_face:
         return SummandCertificate(subset, i, CERT_SIMPLEX, {"face": True})
@@ -138,18 +122,16 @@ def _certify_summand(subset, sub_homology, is_face, sub_dim, p) -> SummandCertif
         if sub_dim > size - 2 or top_cell > 2 * size:
             return SummandCertificate(subset, i, CERT_NONE, details)
         return SummandCertificate(subset, i, CERT_DIMENSION, details)
-    degrees = _plocal_degrees(sub_homology, size + 2, p)
+    # the degrees of the suspended summand that p-local homology sees
+    degrees = [deg + size + 2 for deg, (rank, tors) in sub_homology.groups
+               if rank > 0 or any(t % p == 0 for t in tors)]
     details = {"source_degrees": degrees, "target_sphere": target_dim}
     ok = vanishing_range_check(degrees, target_dim, p)
-    # odd source degrees above the sphere are safe strictly below the first
-    # p-torsion line 2(i+p-1); the even case is vanishing_range_check's job
-    for d in degrees:
-        if d % 2 and d > target_dim and d >= 2 * (i + p - 1):
-            ok = False
     return SummandCertificate(subset, i, CERT_VANISHING if ok else CERT_NONE, details)
 
 
 def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCertificate]:
+    from .momentangle import wedge_splitting
     splitting = wedge_splitting(P.complex, coeff="Z", cap=cap, keep_trivial=True)
     certs = []
     for s in splitting.summands:
@@ -175,6 +157,9 @@ def projection_reports(
 ) -> tuple[ProjectionReport, TrivialityCertificate]:
     """``projection_decomposition`` and ``suspension_triviality_check`` at
     the cost of one, since both are read off the same wedge splitting."""
+    from .complexes import h_vector_of
+    from .quasitoric import require_admissible
+    from .splitting import EvenBettiData, _require_split_prime, split
     _require_split_prime(p)
     require_admissible(P, lam)
     certs = _certificates(P, p, cap)
@@ -217,6 +202,7 @@ def suspension_triviality_check(
     full-subset summand S^6 -> S^3 is essential, since the cofibre of
     S^5 -> CP^2 is CP^3 and P^1 x = x^3 != 0 in H^6(CP^3; F_3).
     """
+    from .splitting import _require_odd_prime
     _require_odd_prime(p)
     return _triviality(P, p, _certificates(P, p, cap))
 
@@ -421,6 +407,7 @@ def p_local_note(P: PolytopeDual, lam: CharacteristicMatrix) -> dict:
     The statement is homotopy-theoretic (torsion in the homotopy of p-local
     finite complexes) and is reported, not certified, by this library.
     """
+    from .quasitoric import require_admissible
     require_admissible(P, lam)
     note = {
         "statement": (

@@ -29,7 +29,9 @@ from ._record import _frozen
 from .complexes import (
     MAX_VERTICES, PolytopeDual, h_vector_of, join, require_face_work, simplex_boundary,
 )
-from .errors import ConsistencyError, InputError, require_ints
+from .errors import CapExceededError, ConsistencyError, InputError, require_ints
+
+MAX_SYSTEM_CELLS = 1 << 30  # rows x columns that cohomology_ring's echelon forms may span
 
 
 @_frozen
@@ -100,7 +102,8 @@ class CohomologyPresentation:
     of degree-2 basis element s with degree-2k basis element t over the
     degree-2(k+1) basis, with entries in [0, p) over F_p and rationals (ints
     or Fractions) over Q.  ``squaring_cols`` (F2 only) has one column per
-    degree-2 basis element, giving its square over the degree-4 basis.
+    degree-2 basis element, giving its square over the degree-4 basis: the
+    diagonal of ``mult_h2[1]``, and empty columns when n = 1.
     """
 
     coeff: str
@@ -110,7 +113,14 @@ class CohomologyPresentation:
     pivot_face: tuple[int, ...]
     basis: dict[int, tuple[tuple[int, ...], ...]]
     mult_h2: dict[int, tuple[tuple[tuple, ...], ...]]
-    squaring_cols: tuple[tuple[int, ...], ...] | None
+
+    @property
+    def squaring_cols(self) -> tuple[tuple[int, ...], ...] | None:
+        if self.coeff != "F2":
+            return None
+        if 1 not in self.mult_h2:  # n = 1: nothing lives in degree 4
+            return ((),) * len(self.basis[1])
+        return tuple(row[s] for s, row in enumerate(self.mult_h2[1]))
 
     def dim(self, degree: int) -> int:
         if degree % 2 or degree < 0 or degree > 2 * self.n:
@@ -203,20 +213,33 @@ def cohomology_ring(
     # H* = k[w] / (images of the minimal non-faces), w the variables off sigma0
     sigma0 = min(K.maximal_faces)
     free = [v for v in range(1, m + 1) if v not in sigma0]
-    form = linear_forms(lam, sigma0, p)
+    sigma0_mask = sum(1 << (v - 1) for v in sigma0)
+    # (degree, mask) of each minimal non-face meeting sigma0; the others are
+    # monomials in w alone
+    non_faces = [(s.bit_count(), s) for s in K.minimal_non_faces() if s & sigma0_mask]
 
     # A w-monomial whose support is a non-face lies in the ideal, and so does
     # every multiple of it: only face-supported w-monomials need a column.
+    # Per degree, one echelon form over them, largest first: the pivots are
+    # the lex leading terms of the ideal, the rest its standard monomials;
+    # the eliminator reduces each row mod p on entry.
     faces = K._face_index
+    bits = [1 << (v - 1) for v in free]
+    monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
+    # degree k has a row per image of degree d <= k and monomial of degree
+    # k - d, so the size of every system is known before any row is built
+    cells = sum(len(cols) * sum(len(monomials[k - d]) for d, _ in non_faces if d <= k)
+                for k, cols in enumerate(monomials))
+    if cells > MAX_SYSTEM_CELLS:
+        raise CapExceededError(f"the cohomology ring's degree systems would hold {cells} cells "
+                               f"(rows x columns), above the cap of {MAX_SYSTEM_CELLS}")
 
     def supported(alpha):
         return sum(1 << (v - 1) for v, a in zip(free, alpha) if a) in faces
 
+    form = linear_forms(lam, sigma0, p)
     images = []  # (degree, {w-exponent: coefficient}) per minimal non-face
-    sigma0_mask = sum(1 << (v - 1) for v in sigma0)
-    for s in K.minimal_non_faces():
-        if not s & sigma0_mask:
-            continue  # a non-face monomial in w alone
+    for d, s in non_faces:
         poly = {(0,) * len(free): 1}
         for v in range(1, m + 1):
             if s >> (v - 1) & 1:
@@ -227,13 +250,8 @@ def cohomology_ring(
                         if a and supported(e):
                             prod[e] = prod.get(e, 0) + c * a
                 poly = prod
-        images.append((s.bit_count(), poly))
+        images.append((d, poly))
 
-    # Per degree, one echelon form over the w-monomials, largest first: the
-    # pivots are the lex leading terms of the ideal, the rest its standard
-    # monomials; the eliminator reduces each row mod p on entry.
-    bits = [1 << (v - 1) for v in free]
-    monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
     systems, w_basis = [], []
     for k, cols in enumerate(monomials):
         col_index = {c: i for i, c in enumerate(cols)}
@@ -279,9 +297,6 @@ def cohomology_ring(
         )
         for k in range(1, n)
     }
-    squaring_cols = None
-    if coeff == "F2":
-        squaring_cols = tuple(normal_form(tuple(2 * a for a in x)) for x in w_basis[1])
 
     return CohomologyPresentation(
         coeff=coeff,
@@ -291,7 +306,6 @@ def cohomology_ring(
         pivot_face=sigma0,
         basis={k: tuple(embed(alpha) for alpha in w_basis[k]) for k in range(n + 1)},
         mult_h2=mult_h2,
-        squaring_cols=squaring_cols,
     )
 
 

@@ -28,20 +28,15 @@ from .homology import GradedHomology
 from .linalg import PRIME_BOUND, is_prime
 
 
-def is_odd_prime(p: int) -> bool:
-    """Exact for p < PRIME_BOUND; raises ValueError at or above it."""
-    return p != 2 and is_prime(p)
-
-
 def _require_odd_prime(p: int):
     if p >= PRIME_BOUND:
         raise InputError(f"p={p} is not below {PRIME_BOUND}, the bound of the exact primality test")
-    if not is_odd_prime(p):
-        if p == 2:
-            raise InputError(
-                "p=2 is excluded: the eigenvalue construction needs p-1 >= 2 "
-                "distinct nonzero residues u^1..u^(p-1) mod p"
-            )
+    if p == 2:
+        raise InputError(
+            "p=2 is excluded: the eigenvalue construction needs p-1 >= 2 "
+            "distinct nonzero residues u^1..u^(p-1) mod p"
+        )
+    if not is_prime(p):
         raise InputError(f"{p} is not an odd prime")
 
 
@@ -135,6 +130,16 @@ class EvenBettiData:
         return cls(n_top=h.n, b=tuple(h.entries))
 
 
+def residue_class(k: int, p: int) -> int:
+    """The piece i in 1..p-1 with k congruent to i mod p-1: the wedge piece
+    that carries degree 2k+1, and the projection group of a subset of size k.
+
+    >>> [residue_class(k, 3) for k in range(1, 6)]
+    [1, 2, 1, 2, 1]
+    """
+    return (k - 1) % (p - 1) + 1
+
+
 @_frozen
 class SplitSummand:
     """Homology data of the i-th wedge piece of the suspended space.
@@ -145,7 +150,6 @@ class SplitSummand:
     """
 
     i: int
-    p: int
     homology: GradedHomology
     sphere_wedge: tuple[tuple[int, int], ...] | None = None
 
@@ -159,34 +163,30 @@ class SplitSummand:
         }
 
 
-def split(b: EvenBettiData, p: int, coeff: str = "Z", u: int | None = None) -> list[SplitSummand]:
+def split(b: EvenBettiData, p: int, u: int | None = None) -> list[SplitSummand]:
     """Distribute the reduced suspension homology over the p-1 wedge pieces.
 
-    Degree 2k+1 of the suspension carries b_k, and lands in piece i = k mod
-    p-1 (with residue 0 written as i = p-1).  b_0 belongs to the unreduced
-    degree 0 and is assigned to no piece.  The optional u must be a
-    primitive root; it is validated and has no effect on the output, which
-    depends only on residues.
+    Degree 2k+1 of the suspension carries b_k, and lands in piece
+    ``residue_class(k, p)``; one pass over k fills the pieces that occur, and
+    the others share one empty homology.  b_0 belongs to the unreduced degree
+    0 and is assigned to no piece.  The optional u must be a primitive root;
+    it is validated and has no effect on the output, which depends only on
+    residues.
     """
     _require_split_prime(p)
-    if coeff not in ("Z", f"F{p}"):
-        raise InputError(f"coefficient view must be 'Z' or 'F{p}'")
     if u is not None and not is_primitive_root(u, p):
         raise InputError(f"{u} is not a primitive root mod {p}")
-    out = []
-    for i in range(1, p):
-        groups = {}
-        for k in range(1, b.n_top + 1):
-            if (k - i) % (p - 1) == 0 and b.b[k]:
-                groups[2 * k + 1] = (b.b[k], ())
-        out.append(
-            SplitSummand(i=i, p=p, homology=GradedHomology.from_dict(coeff, groups))
-        )
-    return out
+    groups: dict[int, dict] = {}
+    for k in range(1, b.n_top + 1):
+        if b.b[k]:
+            groups.setdefault(residue_class(k, p), {})[2 * k + 1] = (b.b[k], ())
+    homology = {i: GradedHomology.from_dict("Z", g) for i, g in groups.items()}
+    empty = GradedHomology("Z", ())
+    return [SplitSummand(i, homology.get(i, empty), None) for i in range(1, p)]
 
 
 def sphere_wedge_decomposition(
-    b: EvenBettiData, p: int, coeff: str = "Z", u: int | None = None
+    b: EvenBettiData, p: int, u: int | None = None
 ) -> list[SplitSummand]:
     """The split for p > n_top, with every piece certified a sphere wedge.
 
@@ -199,33 +199,26 @@ def sphere_wedge_decomposition(
         raise InputError(
             f"sphere wedge form needs p > {b.n_top}; use split() for the general shape"
         )
-    pieces = split(b, p, coeff=coeff, u=u)
     out = []
-    for piece in pieces:
+    for piece in split(b, p, u=u):
         i = piece.i
-        wedge = ()
-        if i <= b.n_top and b.b[i]:
-            wedge = ((2 * i + 1, b.b[i]),)
-        expected = {2 * i + 1: (b.b[i], ())} if wedge else {}
-        if GradedHomology.from_dict(piece.homology.coeff, expected) != piece.homology:
+        wedge = ((2 * i + 1, b.b[i]),) if i <= b.n_top and b.b[i] else ()
+        if piece.homology.groups != tuple((d, (r, ())) for d, r in wedge):
             raise AssertionError("sphere wedge must reproduce the summand homology")
-        out.append(SplitSummand(i=i, p=p, homology=piece.homology, sphere_wedge=wedge))
+        out.append(SplitSummand(i, piece.homology, wedge))
     return out
 
 
 def vanishing_range_check(source_dims, target_sphere_dim: int, p: int) -> bool:
-    """Certify that even-degree obstructions land in the vanishing range.
+    """Certify that every source degree lands in the vanishing range.
 
-    For a p-local target sphere S^(2l+1), the even homotopy group in degree
-    2j vanishes whenever j < l + p - 1.  The check passes when every even
-    source degree 2j above the sphere dimension satisfies that inequality.
+    For a p-local target sphere S^(2l+1), the first p-torsion in its homotopy
+    lies in degree 2(l+p-1).  The check passes when every source degree d,
+    even or odd, lies strictly below that line: d < 2(l+p-1).  Any degree up
+    to the sphere's own dimension 2l+1 passes, since p >= 3.
     """
     _require_odd_prime(p)
     if target_sphere_dim % 2 == 0 or target_sphere_dim < 1:
         raise InputError("target sphere dimension must be odd and positive")
     ell = (target_sphere_dim - 1) // 2
-    for d in source_dims:
-        if d % 2 == 0 and d > target_sphere_dim:
-            if d // 2 >= ell + p - 1:
-                return False
-    return True
+    return all(d < 2 * (ell + p - 1) for d in source_dims)

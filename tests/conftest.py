@@ -3,7 +3,7 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Seven exceptions are kept as differential oracles for the code that
+Nine exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``reduce_against``,
 ``kernel_basis`` and the field objects) for the sparse eliminator in
@@ -15,7 +15,10 @@ previous cohomology engine, for ``cohomology_ring``; the integer adjugate
 and reduces every full subcomplex, for ``wedge_splitting``; and the
 symbolic mod-2 presentations (``cube_presentation``,
 ``product_presentation``, ``cube_parameters``) for ``cohomology_ring`` over
-F2 and ``cube_census``.  Besides the oracles it holds test inputs and probes:
+F2 and ``cube_census``; ``split_by_double_loop``, the p x n residue loop,
+for ``splitting.split``; and ``two_part_vanishing_rule``, the even-degree
+check plus the odd-degree loop of the projection certificate, for
+``splitting.vanishing_range_check``.  Besides the oracles it holds test inputs and probes:
 ``stellar_sphere`` builds polytopal spheres around a given complex, and the
 ``face_listings`` fixture records each face listing the library makes.
 """
@@ -689,18 +692,7 @@ def face_ring_cohomology(
             table.append(tuple(row))
         mult_h2[k] = tuple(table)
 
-    squaring_cols = None
-    if coeff == "F2":
-        target = systems[2]
-        cols_out = []
-        for b2 in basis[1]:
-            sq = tuple(2 * e for e in b2)
-            vec = [field.zero] * len(target.cols)
-            vec[target.col_index[sq]] = field.one
-            cols_out.append(tuple(target.normal_form(vec)))
-        squaring_cols = tuple(cols_out)
-
-    return CohomologyPresentation(
+    pres = CohomologyPresentation(
         coeff=coeff,
         n=n,
         m=m,
@@ -708,8 +700,18 @@ def face_ring_cohomology(
         pivot_face=sigma0,
         basis=basis,
         mult_h2=mult_h2,
-        squaring_cols=squaring_cols,
     )
+    if coeff == "F2":
+        # the squares, reduced here on their own, are the product diagonal
+        target = systems[2]
+        cols_out = []
+        for b2 in basis[1]:
+            sq = tuple(2 * e for e in b2)
+            vec = [field.zero] * len(target.cols)
+            vec[target.col_index[sq]] = field.one
+            cols_out.append(tuple(target.normal_form(vec)))
+        assert pres.squaring_cols == tuple(cols_out)
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +969,33 @@ def cube_parameters(P: PolytopeDual, lam: CharacteristicMatrix) -> QuadraticPres
     c, d = Bbar[1][0], Bbar[1][2]
     e, f = Bbar[2][0], Bbar[2][1]
     return cube_presentation(a, b, c, d, e, f)
+
+
+# ---------------------------------------------------------------------------
+# the p-local rules as they were written twice, before each had one copy
+
+
+def split_by_double_loop(b, p: int) -> list[tuple[int, GradedHomology]]:
+    """(i, homology) of each wedge piece: for every i, a pass over every k."""
+    out = []
+    for i in range(1, p):
+        groups = {}
+        for k in range(1, b.n_top + 1):
+            if (k - i) % (p - 1) == 0 and b.b[k]:
+                groups[2 * k + 1] = (b.b[k], ())
+        out.append((i, GradedHomology.from_dict("Z", groups)))
+    return out
+
+
+def two_part_vanishing_rule(degrees, target_dim: int, p: int) -> bool:
+    """The old library check, which failed only an even degree 2j above the
+    sphere with j >= l + p - 1, and the certificate's loop on odd degrees."""
+    ell = (target_dim - 1) // 2
+    ok = not any(d % 2 == 0 and d > target_dim and d // 2 >= ell + p - 1 for d in degrees)
+    for d in degrees:
+        if d % 2 and d > target_dim and d >= 2 * (ell + p - 1):
+            ok = False
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,6 @@ def test_projection_command(capsys):
 
 def test_projection_report_halves_match_the_library(capsys, monkeypatch):
     from torictop import momentangle, projection_decomposition, suspension_triviality_check
-    from torictop import projection as projection_module
     from torictop.complexes import full_subcomplex
 
     calls = {"wedge_splitting": 0}
@@ -171,8 +170,7 @@ def test_projection_report_halves_match_the_library(capsys, monkeypatch):
                 "triviality": suspension_triviality_check(P, p).to_json_obj(),
             }
             with monkeypatch.context() as patch:
-                patch.setattr(projection_module, "wedge_splitting",
-                              counted(projection_module.wedge_splitting))
+                patch.setattr(momentangle, "wedge_splitting", counted(momentangle.wedge_splitting))
                 patch.setattr(momentangle, "full_subcomplex", recorded)
                 calls.update(wedge_splitting=0)
                 built.clear()
@@ -232,12 +230,12 @@ def test_split_checks_p_before_the_root_u(p, u):
 @pytest.mark.parametrize("command, fixture", [("split", "cp3"), ("projection", "cp2")])
 def test_p_above_the_splitting_bound_exits_2_stating_the_pieces(capsys, monkeypatch, command, fixture):
     # refused before any work that grows with p or with 2^m
-    from torictop import projection
+    from torictop import momentangle
 
     def no_splitting(*args, **kwargs):
         raise AssertionError("the wedge splitting ran")
 
-    monkeypatch.setattr(projection, "wedge_splitting", no_splitting)
+    monkeypatch.setattr(momentangle, "wedge_splitting", no_splitting)
     rc = main([command, "--fixture", fixture, "--p", "100003"])
     captured = capsys.readouterr()
     message = "p=100003 is above 65536, the bound on p for a splitting: it would emit 100002 pieces"
@@ -393,6 +391,45 @@ def test_exit_code_2_on_bad_coefficient_tag(command, fixture, tag):
     assert "input error: " in proc.stderr and repr(tag) in proc.stderr
 
 
+def polygon_input(tmp_path, m):
+    path = tmp_path / f"polygon{m}.json"
+    path.write_text(json.dumps({"m": m, "facets": [[i, i % m + 1] for i in range(1, m + 1)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("cap", [(), ("--cap", "10")], ids=("default-cap", "cap-10"))
+@pytest.mark.parametrize("tag", ["X", "F4"])
+def test_zk_reads_the_coefficient_tag_before_the_cap(capsys, tmp_path, tag, cap):
+    # a 30-gon is above every cap: the bad tag is named, not the cap
+    rc = main(["zk", "--input", polygon_input(tmp_path, 30), "--coeff", tag, *cap])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("torictop: input error: ") and repr(tag) in captured.err
+    assert "cap" not in captured.err
+
+
+def test_zk_over_z_above_the_cap_still_names_the_cap(capsys, tmp_path):
+    rc = main(["zk", "--input", polygon_input(tmp_path, 30), "--coeff", "Z"])
+    captured = capsys.readouterr()
+    message = (f"m=30 exceeds the enumeration cap 16: it would enumerate {2**30 - 1} subsets; "
+               "pass a larger cap to override")
+    assert (rc, captured.out, captured.err) == (2, "", f"torictop: input error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["qtm", "nontrivial"])
+def test_cohomology_above_the_cell_cap_exits_2_stating_the_cells(capsys, tmp_path, command):
+    from torictop import generalized_bott
+
+    P, lam = generalized_bott([1] * 9)
+    path = tmp_path / "tower9.json"
+    path.write_text(json.dumps({"polytope": P.to_json_obj(), "lambda": lam.to_json_obj()}))
+    rc = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == ("torictop: input error: the cohomology ring's degree systems would "
+                            "hold 6914280690 cells (rows x columns), above the cap of 1073741824\n")
+
+
 def test_zk_accepts_prime_beyond_int64(capsys):
     # 2^40 + 15 is prime, and its squares overflow int64; Z_K is torsion-free
     proc = run_subprocess("zk", "--fixture", "polygon5", "--coeff", "F1099511627791")
@@ -506,6 +543,22 @@ def test_zk_over_z_loads_only_what_it_runs(tmp_path):
     assert "torictop.momentangle" in loaded
     assert not loaded & {"fractions", "torictop.projection", "torictop.quasitoric",
                          "torictop.splitting", "importlib.resources", *JSON_MODULES}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["cube-census"], set()),
+        (["nontrivial", "--two-simplices", "5", "2"], set()),
+        (["nontrivial", "--fixture", "bott3"], {"complexes", "fixtures", "quasitoric"}),
+    ],
+    ids=("cube-census", "two-simplices", "nontrivial-fixture"),
+)
+def test_nontriviality_calls_load_only_what_they_run(argv, modules):
+    # the census and the two-simplices test need no complex, splitting or ring
+    loaded = {m for m in modules_loaded_by(*argv) if m.startswith("torictop.")}
+    assert loaded == {f"torictop.{m}" for m in {"_record", "cli", "errors", "linalg",
+                                                "projection", *modules}}
 
 
 @pytest.mark.parametrize(

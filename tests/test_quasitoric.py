@@ -197,6 +197,53 @@ def test_bott_refuses_a_tower_above_the_face_cap_before_the_join(monkeypatch):
         generalized_bott([1] * 31)  # m = 62, inside the vertex limit
 
 
+def test_cohomology_systems_above_the_cell_cap_are_refused_before_elimination(monkeypatch):
+    import torictop.quasitoric as quasitoric
+
+    def eliminated(*a):
+        raise AssertionError("an echelon form ran before the cap check")
+
+    monkeypatch.setattr(linalg, "echelon", eliminated)
+    P, lam = generalized_bott([1] * 9)
+    for coeff in ("F2", "Q"):
+        with pytest.raises(CapExceededError, match="would hold 6914280690 cells .* cap of 1073741824"):
+            cohomology_ring(P, lam, coeff)
+    # [1]^8 stays admitted: it reaches the linear forms, which come after the cap
+    monkeypatch.setattr(quasitoric, "linear_forms", eliminated)
+    with pytest.raises(AssertionError, match="echelon form ran"):
+        cohomology_ring(*generalized_bott([1] * 8), "F2")
+
+
+@pytest.mark.parametrize("dims, cells", [([1] * 7, 26648356), ([1] * 8, 429575040),
+                                         ([2] * 5, 6256250)])
+def test_the_cell_count_sums_rows_times_columns_over_the_degrees(monkeypatch, dims, cells):
+    import torictop.quasitoric as quasitoric
+
+    monkeypatch.setattr(quasitoric, "MAX_SYSTEM_CELLS", cells - 1)
+    with pytest.raises(CapExceededError, match=f"would hold {cells} cells"):
+        cohomology_ring(*generalized_bott(dims), "F2")
+    monkeypatch.setattr(quasitoric, "MAX_SYSTEM_CELLS", cells)
+    if cells < 10**7:  # at the cap a system is admitted
+        cohomology_ring(*generalized_bott(dims), "F2")
+
+
+def test_squares_over_f2_are_the_product_diagonal():
+    # face_ring_cohomology reduces each square on its own and asserts that its
+    # squares are the diagonal of its products; the engine's must match them
+    towers = [([1, 1, 1], [[], [[1]], [[1], [1]]]), ([2, 1], [[], [[-1]]]),
+              ([1, 2], [[], [[3, 2]]]), ([1, 1, 2], [[], [[-2]], [[1, 1], [2, -3]]])]
+    for P, lam in all_quasitoric_fixtures() + [generalized_bott(*t) for t in towers]:
+        pres = cohomology_ring(P, lam, "F2")
+        assert pres.squaring_cols == face_ring_cohomology(P, lam, "F2").squaring_cols
+        assert len(pres.squaring_cols) == pres.dim(2)
+        if 1 in pres.mult_h2:
+            assert pres.squaring_cols == tuple(pres.mult_h2[1][s][s] for s in range(pres.dim(2)))
+        assert cohomology_ring(P, lam, "F3").squaring_cols is None
+    cp1 = cohomology_ring(*fixtures.load_quasitoric("cp1"), "F2")
+    assert cp1.mult_h2 == {} and cp1.squaring_cols == ((),)
+    assert cp1.to_json_obj()["squaring"] == {"columns": [[]]}
+
+
 def test_bott_three_stage_reduces_to_valid_cube_presentation():
     P, lam = generalized_bott([1, 1, 1], [[], [[1]], [[1], [1]]])
     pres = cube_parameters(P, lam)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import run_python, split_by_double_loop, two_part_vanishing_rule
 from torictop import (
     EvenBettiData,
     InputError,
@@ -13,7 +15,7 @@ from torictop import (
     sphere_wedge_decomposition,
     vanishing_range_check,
 )
-from torictop.splitting import SPLIT_PRIME_BOUND, multiplicative_order
+from torictop.splitting import SPLIT_PRIME_BOUND, multiplicative_order, residue_class
 
 
 def test_primitive_roots_pinned():
@@ -194,6 +196,44 @@ def test_vanishing_range_pinned():
     # boundary case: degree 2(l+p-1) is exactly the first even torsion line
     assert not vanishing_range_check([6], 3, 3)
     assert vanishing_range_check([], 3, 3)
+
+
+def test_vanishing_range_covers_odd_degrees():
+    # S^3 at p = 3: the first 3-torsion line is degree 6, so 7 is outside the
+    # range although it is odd; the even-only check passed it
+    assert vanishing_range_check([7], 3, 3) is False
+    assert vanishing_range_check([5], 3, 3) is True
+
+
+PRIMES = (3, 5, 7, 11, 13, 31)
+RULE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@RULE_SETTINGS
+@given(st.integers(0, 12), st.sampled_from(PRIMES[:3]), st.lists(st.integers(-8, 3), max_size=6))
+def test_vanishing_range_matches_the_two_part_rule(ell, p, offsets):
+    # degrees around the line 2(l+p-1), on both sides of the sphere dimension
+    target, line = 2 * ell + 1, 2 * (ell + p - 1)
+    degrees = [max(0, line + t) for t in offsets]
+    assert vanishing_range_check(degrees, target, p) == two_part_vanishing_rule(degrees, target, p)
+
+
+@RULE_SETTINGS
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=14), st.sampled_from(PRIMES))
+def test_split_matches_the_double_loop(betti, p):
+    b = EvenBettiData(len(betti) - 1, tuple(betti))
+    pieces = split(b, p)
+    assert [(s.i, s.homology) for s in pieces] == split_by_double_loop(b, p)
+    assert all(s.sphere_wedge is None for s in pieces)
+    if p > b.n_top:
+        wedge = sphere_wedge_decomposition(b, p)
+        assert [(s.i, s.homology) for s in wedge] == split_by_double_loop(b, p)
+
+
+@RULE_SETTINGS
+@given(st.integers(0, 10**6), st.sampled_from(PRIMES))
+def test_residue_class_is_the_piece_congruent_to_k(k, p):
+    assert [i for i in range(1, p) if (k - i) % (p - 1) == 0] == [residue_class(k, p)]
 
 
 def test_vanishing_range_rejects_even_target():
