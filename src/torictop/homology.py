@@ -1,13 +1,12 @@
 """Exact simplicial homology via Smith normal form and rank computations.
 
-Integral and rational homology share one integer kernel: an SNF per
-boundary map gives its rank and its torsion over Z, and over Q its rank
-alone, since the rational Betti numbers are the free ranks over Z by
-universal coefficients.  Invariant factors are unique, so the result does
-not depend on the pivot order.  F_p ranks come from the sparse field
-eliminator ``linalg.echelon`` on Python ints reduced mod p, exact for every
-prime.  One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and
-'F<p>' and remembers the last few, so each function takes the tag alone.
+Integral homology comes from an SNF per boundary map, which gives its rank
+and its torsion; invariant factors are unique, so the result does not
+depend on the pivot order.  Every field takes its ranks from one sparse
+eliminator, ``linalg.echelon``: over F_p on Python ints reduced mod p, exact
+for every prime, and over Q on ints for as long as its pivots are units.
+One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>' and
+remembers the last few, so each function takes the tag alone.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -203,17 +202,16 @@ class GradedHomology:
 def _homology_from_boundaries(boundaries: list[IntegerMatrix], dims: list[int],
                               base_degree: int, coeff: str) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
-    boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.
-    Trusts the maps to chain and to compose to zero (see chain_homology)."""
+    boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.  Z
+    reads the Smith form, a field ``echelon``.  Trusts the maps to chain and
+    to compose to zero (see chain_homology)."""
     p = linalg.coeff_prime(coeff, allow_z=True)
-    torsion = [()] * len(boundaries)
-    if p:
-        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
-    else:  # over Q the free ranks over Z, by universal coefficients
+    if p is None:
         snfs = [smith_normal_form(mat) for mat in boundaries]
-        ranks = [snf.rank for snf in snfs]
-        if p is None:
-            torsion = [snf.torsion for snf in snfs]
+        ranks, torsion = [snf.rank for snf in snfs], [snf.torsion for snf in snfs]
+    else:  # a field, F_p or Q (p = 0), has no torsion
+        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
+        torsion = [()] * len(boundaries)
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
         out_rank = ranks[k - 1] if k >= 1 else 0

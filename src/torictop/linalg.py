@@ -2,10 +2,10 @@
 
 Everything here is deterministic and exact, with no floating point and no
 dependency outside the standard library.  Integer routines use Python's
-arbitrary-precision ints (Bareiss fraction-free elimination).  Field work
-over F_p and over Q goes through one sparse eliminator, ``echelon``, whose
-pivot rows also give normal forms and kernels.  Over F_p it works on ints
-reduced mod p, so it is exact for every prime; over Q it uses Fractions.
+arbitrary-precision ints (Bareiss fraction-free elimination).  Every field,
+F_p or Q, goes through one sparse eliminator, ``echelon``, whose pivot rows
+give ranks, normal forms and kernels.  It works on ints: reduced mod p over
+F_p, exact for every prime, and over Q until a pivot is not a unit.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
 
 def rank_int(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over Q, by fraction-free elimination.  Not
-    on the homology path: Z and Q homology share ``homology.smith_normal_form``
-    and F_p homology uses ``echelon``."""
+    on the homology path: Z homology uses ``homology.smith_normal_form`` and
+    every field ``echelon``; the tests take it as an independent oracle."""
     return _bareiss(rows)[0]
 
 
@@ -157,11 +157,9 @@ def echelon(rows, p: int) -> dict[int, list[tuple[int, object]]]:
     it.  Each row is reduced mod p on entry, then against the pivots it
     meets from left to right, until it becomes a new pivot row or vanishes.
     The pivot columns are the leading columns of the row space, so they do
-    not depend on the order of the rows.  Over Q the pivot rows hold
-    Fractions, and only then is ``fractions`` imported.
+    not depend on the order of the rows.  Over Q a pivot of +-1 is its own
+    inverse, so rows stay int; ``fractions`` is imported at the first other.
     """
-    if not p:
-        from fractions import Fraction
     pivots: dict[int, list[tuple[int, object]]] = {}
     for row in rows:
         v = [x % p for x in row] if p else list(row)
@@ -170,7 +168,11 @@ def echelon(rows, p: int) -> dict[int, list[tuple[int, object]]]:
                 continue
             prow = pivots.get(c)
             if prow is None:
-                inv = pow(x, -1, p) if p else 1 / Fraction(x)
+                if p or x in (1, -1):
+                    inv = pow(x, -1, p) if p else x
+                else:
+                    from fractions import Fraction
+                    inv = 1 / Fraction(x)
                 pivots[c] = [(j, y * inv % p if p else y * inv) for j, y in enumerate(v) if y]
                 break
             if p:  # clears v[c]; v is zero left of c already
@@ -218,5 +220,5 @@ def kernel_vectors(pivots: dict, ncols: int, p: int) -> list[list]:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
+    """Rank of an integer matrix over F_p, or over Q if p is 0."""
     return len(echelon(rows, p))

@@ -225,14 +225,18 @@ def cohomology_ring(
     # the eliminator reduces each row mod p on entry.
     faces = K._face_index
     bits = [1 << (v - 1) for v in free]
-    monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
     # degree k has a row per image of degree d <= k and monomial of degree
-    # k - d, so the size of every system is known before any row is built
-    cells = sum(len(cols) * sum(len(monomials[k - d]) for d, _ in non_faces if d <= k)
-                for k, cols in enumerate(monomials))
+    # k - d, so the size of every system is known before any row is built:
+    # a face off sigma0 with j >= 1 vertices supports C(k - 1, j - 1) of the
+    # monomials of degree k, and the empty face the one of degree 0
+    off = {j: sum(not s & sigma0_mask for s in lst) for j, lst in K.faces_by_card().items()}
+    size = [1] + [sum(f * math.comb(k - 1, j - 1) for j, f in off.items() if j)
+                  for k in range(1, n + 2)]
+    cells = sum(size[k] * sum(size[k - d] for d, _ in non_faces if d <= k) for k in range(n + 2))
     if cells > MAX_SYSTEM_CELLS:
         raise CapExceededError(f"the cohomology ring's degree systems would hold {cells} cells "
                                f"(rows x columns), above the cap of {MAX_SYSTEM_CELLS}")
+    monomials = [_face_monomials(k, bits, faces) for k in range(n + 2)]
 
     def supported(alpha):
         return sum(1 << (v - 1) for v, a in zip(free, alpha) if a) in faces

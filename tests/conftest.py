@@ -18,9 +18,12 @@ symbolic mod-2 presentations (``cube_presentation``,
 F2 and ``cube_census``; ``split_by_double_loop``, the p x n residue loop,
 for ``splitting.split``; and ``two_part_vanishing_rule``, the even-degree
 check plus the odd-degree loop of the projection certificate, for
-``splitting.vanishing_range_check``.  Besides the oracles it holds test inputs and probes:
-``stellar_sphere`` builds polytopal spheres around a given complex, and the
-``face_listings`` fixture records each face listing the library makes.
+``splitting.vanishing_range_check``.  ``field_ranks_from_z`` derives field
+Betti numbers from integral homology by universal coefficients, so that the
+field kernel ``echelon`` is checked against the Smith form.  Besides the
+oracles it holds test inputs and probes: ``stellar_sphere`` builds polytopal
+spheres around a given complex, and the ``face_listings`` fixture records
+each face listing the library makes.
 """
 
 from __future__ import annotations
@@ -429,6 +432,27 @@ def brute_reduced_betti(maximal_faces, rank_fn=fraction_rank) -> dict[int, int]:
         if b:
             betti[k - 1] = b
     return betti
+
+
+FIELD_TAGS = (("Q", 0), ("F2", 2), ("F3", 3))  # each tag with the p of echelon
+
+
+def field_ranks_from_z(groups: dict, p: int) -> dict[int, int]:
+    """Betti numbers over F_p, or Q for p = 0, of the integral groups
+    {degree: (free rank, torsion)}, by universal coefficients: the free rank
+    plus the invariant factors divisible by p in the degree and the one below."""
+    def tors(d):
+        return sum(1 for t in groups.get(d, (0, ()))[1] if p and t % p == 0)
+
+    ranks = {d: groups.get(d, (0, ()))[0] + tors(d) + tors(d - 1)
+             for d in set(groups) | {d + 1 for d in groups}}
+    return {d: r for d, r in ranks.items() if r}
+
+
+def field_ranks(h) -> dict[int, int]:
+    """{degree: rank} of a homology over a field, after checking it has no torsion."""
+    assert not any(tors for _, tors in h.as_dict().values()), h
+    return {d: r for d, (r, _) in h.as_dict().items()}
 
 
 def graded_tensor_unreduced(u1: dict[int, int], u2: dict[int, int]) -> dict[int, int]:

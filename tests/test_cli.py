@@ -575,6 +575,21 @@ def test_calls_over_f_p_load_no_fractions(argv):
     assert "fractions" not in modules_loaded_by(*argv)
 
 
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["zk", "--fixture", "polygon6", "--coeff", "Q"], False),
+        (["qtm", "--fixture", "cp2", "--coeff", "Q"], False),
+        (["qtm", "--fixture", "bott3", "--coeff", "Q"], True),
+    ],
+    ids=("zk-polygon6", "qtm-cp2", "qtm-bott3"),
+)
+def test_calls_over_q_load_fractions_only_at_a_non_unit_pivot(argv, loads):
+    # a pivot of +-1 is its own inverse, so rows of ints stay ints; bott3's
+    # degree-6 system meets a pivot of -2
+    assert ("fractions" in modules_loaded_by(*argv)) == loads
+
+
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=("site", "no-site"))
 def test_fixture_calls_load_no_importlib_resources(flags):
     # bundled fixtures are read from the directory next to the module; without

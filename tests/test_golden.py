@@ -116,7 +116,7 @@ def golden_calls() -> list[list[str]]:
     calls += [["zk", "--input", name, "--coeff", c] for name in COMPLEXES for c in ZK_COEFFS]
     # the summands with |I| = 6 only: the full run takes about a minute
     calls += [["zk", "--input", "torsion_sphere.json", "--coeff", c, "--sizes", "6"]
-              for c in ("Z", "F2", "F3")]
+              for c in ZK_COEFFS]
     # towers through the cohomology engine: their bott reports are the qtm inputs
     calls += [["qtm", "--input", f"{t}.qtm", "--coeff", c] for t in TOWERS for c in ("Q", "F2", "F3")]
     calls += [["qtm", "--fixture", "cp2", "--coeff", c] for c in ("Z", "F4", "Fx")]

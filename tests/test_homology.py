@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIELD_TAGS,
     brute_reduced_betti,
     f2_rank,
+    field_ranks,
+    field_ranks_from_z,
     fraction_rank,
     mod_p_rank,
     random_complex_faces,
     reference_smith_normal_form,
     run_python,
+    stellar_sphere,
 )
 from torictop import (
     GradedHomology,
@@ -241,8 +245,8 @@ def test_graded_homology_serialization_round_trip():
 
 
 def test_snf_matches_sympy_and_gives_the_rank():
-    # over Z and Q the homology takes ranks from the SNF alone, so check its
-    # invariant factors against sympy and its rank against rank_int
+    # over Z the homology takes ranks and torsion from the SNF alone, so check
+    # its invariant factors against sympy and its rank against rank_int
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -332,20 +336,75 @@ assert d == (a, a * (2**61 - 1)), d
     assert proc.returncode == 0, proc.stderr
 
 
-def test_rational_homology_reads_the_integer_kernel(monkeypatch, capsys):
-    def refuse(rows):
-        raise AssertionError("rational homology called rank_int")
+def test_field_homology_never_runs_the_smith_form(monkeypatch, capsys):
+    # every field takes its ranks from echelon, so with the Smith form refused
+    # Q and F_p homology still run, and follow from the groups over Z
+    complexes = fixture_and_golden_complexes()
+    over_z = [reduced_homology(K, "Z").as_dict() for K in complexes]
+    assert cli.main(["zk", "--fixture", "polygon6", "--coeff", "Z"]) == 0
+    totals = {"Z": json.loads(capsys.readouterr().out)["results"]["total"]}
 
-    monkeypatch.setattr(linalg, "rank_int", refuse)
-    for K in fixture_and_golden_complexes():
-        free = {d: (r, ()) for d, (r, _) in reduced_homology(K, "Z").as_dict().items()}
-        assert reduced_homology(K, "Q") == GradedHomology.from_dict("Q", free)
-    totals = {}
-    for coeff in ("Z", "Q"):
-        assert cli.main(["zk", "--fixture", "polygon6", "--coeff", coeff]) == 0
-        total = json.loads(capsys.readouterr().out)["results"]["total"]
-        totals[coeff] = [(g["degree"], g["rank"]) for g in total]
-    assert totals["Q"] == totals["Z"] == [(3, 9), (4, 16), (5, 9), (8, 1)]
+    def refuse(A):
+        raise AssertionError("field homology ran the Smith form")
+
+    monkeypatch.setattr("torictop.homology.smith_normal_form", refuse)
+    for K, groups in zip(complexes, over_z):
+        for coeff, p in FIELD_TAGS:
+            assert field_ranks(reduced_homology(K, coeff)) == field_ranks_from_z(groups, p), K
+    assert cli.main(["zk", "--fixture", "polygon6", "--coeff", "Q"]) == 0
+    totals["Q"] = json.loads(capsys.readouterr().out)["results"]["total"]
+    assert [[(g["degree"], g["rank"]) for g in totals[c]] for c in ("Z", "Q")] == [
+        [(3, 9), (4, 16), (5, 9), (8, 1)]] * 2
+    # Z/2 in degree 0 over Z, nothing over Q
+    assert chain_homology([IntegerMatrix.from_rows([[2]])], "Q").is_trivial()
+    d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+    assert chain_homology([d1], "Q").as_dict() == {0: (1, ()), 1: (1, ())}
+
+
+def test_dense_rational_chain_homology_takes_its_rank_from_echelon():
+    # the Smith form lets the entries of a dense matrix grow exponentially; it
+    # ran for more than a minute on this 50 x 50 one before Q used echelon
+    proc = run_python("""
+import random
+from torictop import linalg
+from torictop.homology import IntegerMatrix, chain_homology
+rng = random.Random(5)
+M = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in (40, 40, 50)][2]
+assert chain_homology([IntegerMatrix.from_rows(M)], "Q").as_dict() == {}
+assert linalg.rank_mod_p(M, 0) == linalg.rank_int(M) == 50
+""", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+@st.composite
+def stellar_spheres(draw):
+    """(L, K): a complex L on k <= 6 vertices, every vertex used and 1..k not
+    a face, and the polytopal sphere K whose full subcomplex on 1..k is L
+    (``conftest.stellar_sphere``).  L is random, or RP^2 for its 2-torsion."""
+    k = draw(st.integers(3, 6))
+    faces = draw(st.lists(st.sets(st.integers(1, k), min_size=2, max_size=k - 1), max_size=10))
+    l_facets = [sorted(f) for f in faces] + [[v] for v in range(1, k + 1)]
+    l_facets, k = draw(st.sampled_from([(l_facets, k), (RP2_FACES, 6)]))
+    m, facets = stellar_sphere(l_facets, k)
+    return validate_complex(l_facets, k), validate_complex(facets, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stellar_spheres(), st.data())
+def test_field_ranks_follow_from_z_on_stellar_spheres(spheres, data):
+    # full subcomplexes only, never a whole splitting: L, its complement and a
+    # few drawn subsets, whose field ranks must follow from the groups over Z
+    L, K = spheres
+    k = L.m
+    assert full_subcomplex(K, range(1, k + 1)) == L
+    drawn = data.draw(st.lists(st.sets(st.integers(1, K.m), min_size=1), max_size=3))
+    for I in [set(range(1, k + 1)), set(range(k + 1, K.m + 1)), *drawn]:
+        if not I:  # L is the boundary of the simplex, so nothing was subdivided
+            continue
+        K_I = full_subcomplex(K, sorted(I))
+        groups = reduced_homology(K_I, "Z").as_dict()
+        for coeff, p in FIELD_TAGS + (("F5", 5),):
+            assert field_ranks(reduced_homology(K_I, coeff)) == field_ranks_from_z(groups, p), I
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -7,7 +7,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIELD_TAGS,
     brute_reduced_betti,
+    field_ranks,
+    field_ranks_from_z,
     graded_tensor_unreduced,
     per_subset_wedge_splitting,
     random_complex_faces,
@@ -31,7 +34,7 @@ from torictop import (
 )
 from torictop.complexes import PolytopeDual, f_vector
 from torictop.momentangle import _join_homology
-from test_golden import INPUTS
+from test_golden import COMPLEXES, INPUTS
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -274,6 +277,41 @@ def test_the_torsion_sphere_over_a_field_follows_universal_coefficients(torsion_
                 for d in set(z) | {d + 1 for d in z}}
     assert sp.total.as_dict() == {d: (r, ()) for d, r in expected.items() if r}
     assert {d: sp.total.rank(d) for d in want} == want
+
+
+def test_the_torsion_sphere_over_q_keeps_the_free_part_of_each_summand(torsion_sphere):
+    # the Z/2 at I = 1..6 vanishes over Q, and so does the one at its complement
+    K, over_z = torsion_sphere
+    want = {s.subset: field_ranks_from_z(s.homology.as_dict(), 0) for s in over_z.summands}
+    got = {s.subset: field_ranks(s.homology)
+           for s in wedge_splitting(K, "Q", size_filter={6}).summands}
+    assert got == {I: r for I, r in want.items() if r}
+    assert (1, 2, 3, 4, 5, 6) in want and (1, 2, 3, 4, 5, 6) not in got
+    for I in (range(1, 7), range(7, 17)):
+        K_I = full_subcomplex(K, I)
+        groups = reduced_homology(K_I, "Z").as_dict()
+        assert groups == {1: (0, (2,))}
+        for coeff, p in FIELD_TAGS:
+            assert field_ranks(reduced_homology(K_I, coeff)) == field_ranks_from_z(groups, p)
+
+
+def complex_named(name):
+    if name in INPUTS:
+        obj = json.loads(INPUTS[name])
+        return validate_complex(obj["facets"], obj["m"])
+    return fixtures.load_polytope(name).complex
+
+
+@pytest.mark.parametrize("name", fixtures.names() + list(COMPLEXES))
+def test_field_summands_follow_from_the_integral_ones(name):
+    # summand by summand: Q keeps the free rank over Z, and F_p adds the
+    # invariant factors divisible by p in the degree and the one below
+    K = complex_named(name)
+    over_z = {s.subset: s.homology.as_dict() for s in wedge_splitting(K, "Z").summands}
+    for coeff, p in FIELD_TAGS:
+        want = {I: field_ranks_from_z(groups, p) for I, groups in over_z.items()}
+        got = {s.subset: field_ranks(s.homology) for s in wedge_splitting(K, coeff).summands}
+        assert got == {I: r for I, r in want.items() if r}, coeff
 
 
 def test_join_kuenneth_keeps_the_tor_term():

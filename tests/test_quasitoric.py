@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -225,6 +226,60 @@ def test_the_cell_count_sums_rows_times_columns_over_the_degrees(monkeypatch, di
     monkeypatch.setattr(quasitoric, "MAX_SYSTEM_CELLS", cells)
     if cells < 10**7:  # at the cap a system is admitted
         cohomology_ring(*generalized_bott(dims), "F2")
+
+
+def listed_cells(P) -> int:
+    """The cells of cohomology_ring's degree systems from the listed monomials,
+    as the engine summed them before it counted them."""
+    from torictop.quasitoric import _face_monomials
+
+    K = P.complex
+    sigma0 = min(K.maximal_faces)
+    sigma0_mask = sum(1 << (v - 1) for v in sigma0)
+    bits = [1 << (v - 1) for v in range(1, P.m + 1) if v not in sigma0]
+    monomials = [_face_monomials(k, bits, K._face_index) for k in range(P.n + 2)]
+    degrees = [s.bit_count() for s in K.minimal_non_faces() if s & sigma0_mask]
+    return sum(len(cols) * sum(len(monomials[k - d]) for d in degrees if d <= k)
+               for k, cols in enumerate(monomials))
+
+
+def counted_cells(P, lam) -> int:
+    """The cells cohomology_ring states when its cap refuses everything."""
+    import torictop.quasitoric as quasitoric
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasitoric, "MAX_SYSTEM_CELLS", -1)
+        with pytest.raises(CapExceededError) as refusal:
+            cohomology_ring(P, lam, "F2")
+    return int(re.search(r"would hold (\d+) cells", str(refusal.value)).group(1))
+
+
+def test_counted_cells_equal_the_listed_cells():
+    towers = [generalized_bott([1] * d) for d in range(3, 10)]
+    towers += [generalized_bott(dims) for dims in ([2, 2, 2], [1, 2, 3], [3, 3])]
+    for P, lam in all_quasitoric_fixtures() + towers:
+        assert counted_cells(P, lam) == listed_cells(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+def test_counted_cells_equal_the_listed_cells_on_random_towers(dims):
+    # the cells depend on the polytope alone, not on the twists
+    assume(sum(d + 1 for d in dims) <= 12)
+    P, lam = generalized_bott(dims)
+    assert counted_cells(P, lam) == listed_cells(P)
+
+
+@pytest.mark.parametrize("d, cells", [(10, 111167722050), (11, 1785891887648)])
+def test_towers_above_the_cell_cap_are_refused_before_any_monomial_is_listed(monkeypatch, d, cells):
+    import torictop.quasitoric as quasitoric
+
+    def listed(*a):
+        raise AssertionError("a monomial was listed before the cap check")
+
+    monkeypatch.setattr(quasitoric, "_face_monomials", listed)
+    with pytest.raises(CapExceededError, match=f"would hold {cells} cells .* cap of 1073741824"):
+        cohomology_ring(*generalized_bott([1] * d), "F2")
 
 
 def test_squares_over_f2_are_the_product_diagonal():
