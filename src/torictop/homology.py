@@ -210,7 +210,7 @@ def _homology_from_boundaries(boundaries: list[IntegerMatrix], dims: list[int],
         snfs = [smith_normal_form(mat) for mat in boundaries]
         ranks, torsion = [snf.rank for snf in snfs], [snf.torsion for snf in snfs]
     else:  # a field, F_p or Q (p = 0), has no torsion
-        ranks = [linalg.rank_mod_p(mat.entries, p) for mat in boundaries]
+        ranks = [len(linalg.echelon(mat.entries, p)) for mat in boundaries]
         torsion = [()] * len(boundaries)
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):

@@ -220,5 +220,5 @@ def kernel_vectors(pivots: dict, ncols: int, p: int) -> list[list]:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p, or over Q if p is 0."""
+    """Rank of integer rows over F_p, or Q if p is 0; off the homology path."""
     return len(echelon(rows, p))
