@@ -145,11 +145,32 @@ def require_face_work(facets: int, n: int) -> None:
         )
 
 
+def _maximal(faces) -> list[int]:
+    """The inclusion-maximal masks among ``faces``, in increasing order.
+
+    Faces are taken largest first, and each is compared only with the kept
+    faces of larger size: two distinct faces of one size never contain each
+    other.  The empty face is kept only when it is the only face.
+    """
+    kept: list[int] = []
+    larger: list[int] = []
+    size = -1
+    for f in sorted(set(faces), key=int.bit_count, reverse=True):
+        if f.bit_count() != size:
+            size, larger = f.bit_count(), kept.copy()
+        if not any(f & ~g == 0 for g in larger):
+            kept.append(f)
+    return sorted(kept)
+
+
 def validate_complex(raw, m: int) -> SimplicialComplex:
     """Normalize a raw face list into a SimplicialComplex.
 
-    Redundant faces are absorbed into maximal ones.  An empty face list is
-    allowed for m >= 1 and produces the empty complex on m ghost vertices.
+    Redundant faces are absorbed into maximal ones by ``_maximal``, which
+    compares a face only with larger kept faces: linear in the face count on
+    a pure facet list, O(F_small * F_large) on a list of mixed sizes.  An
+    empty face list is allowed for m >= 1 and produces the empty complex on
+    m ghost vertices.
 
     >>> validate_complex([[1, 2], [2], [1]], 2).maximal_faces
     ((1, 2),)
@@ -163,12 +184,7 @@ def validate_complex(raw, m: int) -> SimplicialComplex:
     faces = [_mask_of(f, m) for f in raw]
     if not faces and m == 0:
         raise InputError("empty face list with m=0 does not define a complex")
-    maximal: list[int] = []
-    for f in sorted(set(faces), key=lambda x: -x.bit_count()):
-        if not any(f & ~g == 0 for g in maximal):
-            maximal.append(f)
-    # the empty face is absorbed by any other, so it is kept only when it is the only face
-    return SimplicialComplex(m=m, masks=tuple(sorted(maximal or [0])))
+    return SimplicialComplex(m=m, masks=tuple(_maximal(faces) or [0]))
 
 
 def full_subcomplex(K: SimplicialComplex, I) -> SimplicialComplex:
@@ -181,12 +197,7 @@ def full_subcomplex(K: SimplicialComplex, I) -> SimplicialComplex:
     if not I:
         raise InputError("full subcomplex needs a nonempty vertex set")
     imask = _mask_of(I, K.m)
-    restricted = {f & imask for f in K.masks}
-    maximal = [f for f in restricted if not any(f != g and f & ~g == 0 for g in restricted)]
-    if maximal == [0] or not maximal:
-        masks = (0,)
-    else:
-        masks = tuple(sorted(f for f in maximal if f))
+    masks = _maximal(f & imask for f in K.masks)
     # compress bit positions of I down to 1..|I|
     positions = {v: i for i, v in enumerate(I)}
     def compress(f: int) -> int:

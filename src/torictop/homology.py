@@ -5,8 +5,10 @@ and its torsion; invariant factors are unique, so the result does not
 depend on the pivot order.  Every field takes its ranks from one sparse
 eliminator, ``linalg.echelon``: over F_p on Python ints reduced mod p, exact
 for every prime, and over Q on ints for as long as its pivots are units.
-One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>' and
-remembers the last few, so each function takes the tag alone.
+Direct sums of graded groups go through ``GradedHomology.direct_sum``, the
+one place where torsion is regrouped into invariant factors.  One parser,
+``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>' and remembers
+the last few, so each function takes the tag alone.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -45,10 +47,6 @@ class IntegerMatrix:
         if cols is not None and cols != c:
             raise InputError("column count mismatch")
         return cls(rows=r, cols=c, entries=tuple(map(tuple, rows)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows=rows, cols=cols, entries=tuple((0,) * cols for _ in range(rows)))
 
 
 @_frozen
@@ -176,6 +174,17 @@ class GradedHomology:
             if rank or tors
         )
         return cls(coeff, items)
+
+    @classmethod
+    def direct_sum(cls, coeff: str, terms) -> "GradedHomology":
+        """The direct sum of (degree, rank, cyclic orders) terms: the ranks of
+        a degree add, and its cyclic groups are regrouped by ``merge_torsion``."""
+        ranks: dict[int, int] = {}
+        tors: dict[int, list[int]] = {}
+        for deg, rank, orders in terms:
+            ranks[deg] = ranks.get(deg, 0) + rank
+            tors.setdefault(deg, []).extend(orders)
+        return cls.from_dict(coeff, {d: (r, merge_torsion(tors[d])) for d, r in ranks.items()})
 
     def as_dict(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return {deg: val for deg, val in self.groups}

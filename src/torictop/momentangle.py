@@ -15,9 +15,9 @@ minimal non-face hypergraph, so K_I is the join of its pieces on those
 components: each piece is reduced once, and the summands of a join are
 assembled from the pieces by the join Kuenneth formula.
 
-Summands are enumerated once, as bitmasks in increasing order, and folded
-into the total as they stream by; only summands with nonzero homology are
-kept.  No cell structure on Z_K itself is ever built.
+Summands are enumerated once, as bitmasks in increasing order; only
+summands with nonzero homology are kept, and the total is their direct sum.
+No cell structure on Z_K itself is ever built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from ._record import _frozen
 from .complexes import SimplicialComplex, _vertices_of, full_subcomplex
 from .errors import CapExceededError, InputError
-from .homology import GradedHomology, merge_torsion, reduced_homology
+from .homology import GradedHomology, reduced_homology
 from .linalg import coeff_prime
 
 DEFAULT_CAP_FIELD = 24
@@ -144,19 +144,13 @@ def _join_homology(A: GradedHomology, B: GradedHomology) -> GradedHomology:
 
         H_{k+1}(A*B) = sum_{i+j=k} H_i(A) (x) H_j(B) + sum_{i+j=k-1} Tor(H_i(A), H_j(B)).
     """
-    rank: dict[int, int] = {}
-    tors: dict[int, list[int]] = {}
+    terms = []
     for i, (ra, ta) in A.groups:
         for j, (rb, tb) in B.groups:
-            d = i + j + 1
-            rank[d] = rank.get(d, 0) + ra * rb
             cross = [math.gcd(a, b) for a in ta for b in tb]  # Z/a (x) Z/b = Tor = Z/gcd
-            tors.setdefault(d, []).extend(list(ta) * rb + list(tb) * ra + cross)
-            tors.setdefault(d + 1, []).extend(cross)
-    return GradedHomology.from_dict(
-        A.coeff,
-        {d: (rank.get(d, 0), merge_torsion(tors.get(d, []))) for d in set(rank) | set(tors)},
-    )
+            terms.append((i + j + 1, ra * rb, list(ta) * rb + list(tb) * ra + cross))
+            terms.append((i + j + 2, 0, cross))
+    return GradedHomology.direct_sum(A.coeff, terms)
 
 
 def wedge_splitting(
@@ -201,11 +195,8 @@ def wedge_splitting(
 
     summands: list[WedgeSummand] = []
     trivial = 0
-    total_rank: dict[int, int] = {}
-    total_tors: dict[int, list[int]] = {}
     for mask in range(1, 1 << K.m):
-        size = mask.bit_count()
-        if size_filter is not None and size not in size_filter:
+        if size_filter is not None and mask.bit_count() not in size_filter:
             continue
         cone = is_cone(mask)
         if cone:
@@ -222,23 +213,11 @@ def wedge_splitting(
             if not keep_trivial:
                 continue
         summands.append(WedgeSummand(_vertices_of(mask), hom, cone))
-        for deg, (rank, tors) in hom.groups:
-            d = deg + size + 1
-            total_rank[d] = total_rank.get(d, 0) + rank
-            if tors:
-                total_tors.setdefault(d, []).extend(tors)
-    assembled = {
-        d: (total_rank.get(d, 0), merge_torsion(total_tors.get(d, [])))
-        for d in set(total_rank) | set(total_tors)
-    }
     summands.sort(key=lambda s: (len(s.subset), s.subset))
-    return WedgeSplitting(
-        m=K.m,
-        coeff=coeff,
-        summands=tuple(summands),
-        trivial_count=trivial,
-        total=GradedHomology.from_dict(coeff, assembled),
-    )
+    total = GradedHomology.direct_sum(coeff, ((deg + len(s.subset) + 1, rank, tors)
+                                              for s in summands
+                                              for deg, (rank, tors) in s.homology.groups))
+    return WedgeSplitting(K.m, coeff, tuple(summands), trivial, total)
 
 
 def moment_angle_homology(

@@ -140,8 +140,7 @@ def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCerti
         # spans a face exactly when top = |I|
         top = max((f & mask).bit_count() for f in P.complex.masks)
         certs.append(_certify_summand(s.subset, s.homology, top == len(s.subset), top - 1, p))
-    certs.sort(key=lambda c: (len(c.subset), c.subset))
-    return certs
+    return certs  # in the splitting's (size, subset) order
 
 
 def _triviality(P: PolytopeDual, p: int, certs: list[SummandCertificate]) -> TrivialityCertificate:

@@ -3,27 +3,32 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Nine exceptions are kept as differential oracles for the code that
+Eleven exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
-table-driven parser in ``torictop.cli``; the dense field kernel (``rref``, ``reduce_against``,
-``kernel_basis`` and the field objects) for the sparse eliminator in
-``linalg``; ``reference_smith_normal_form``, the previous Smith normal form,
-for ``homology.smith_normal_form``; ``face_ring_cohomology``, the library's
-previous cohomology engine, for ``cohomology_ring``; the integer adjugate
-``unimodular_inverse`` for ``quasitoric.linear_forms``;
-``per_subset_wedge_splitting``, the previous wedge splitting that builds
-and reduces every full subcomplex, for ``wedge_splitting``; and the
-symbolic mod-2 presentations (``cube_presentation``,
-``product_presentation``, ``cube_parameters``) for ``cohomology_ring`` over
-F2 and ``cube_census``; ``split_by_double_loop``, the p x n residue loop,
-for ``splitting.split``; and ``two_part_vanishing_rule``, the even-degree
-check plus the odd-degree loop of the projection certificate, for
-``splitting.vanishing_range_check``.  ``field_ranks_from_z`` derives field
-Betti numbers from integral homology by universal coefficients, so that the
-field kernel ``echelon`` is checked against the Smith form.  Besides the
-oracles it holds test inputs and probes: ``stellar_sphere`` builds polytopal
-spheres around a given complex, and the ``face_listings`` fixture records
-each face listing the library makes.
+table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
+``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
+eliminator in ``linalg``; ``reference_smith_normal_form``, the previous
+Smith normal form, for ``homology.smith_normal_form``;
+``face_ring_cohomology``, the library's previous cohomology engine, for
+``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
+``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the previous
+wedge splitting that builds and reduces every full subcomplex, for
+``wedge_splitting``; the symbolic mod-2 presentations
+(``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
+``cohomology_ring`` over F2 and ``cube_census``; ``split_by_double_loop``,
+the p x n residue loop, for ``splitting.split``; ``two_part_vanishing_rule``,
+the even-degree check plus the odd-degree loop of the projection
+certificate, for ``splitting.vanishing_range_check``;
+``pairwise_maximal_faces``, the maximal-face filter of ``full_subcomplex``,
+for ``complexes._maximal``; and ``dict_direct_sum`` and
+``dict_join_homology``, the dict accumulations of the wedge total and of
+the join Kuenneth sum, for ``GradedHomology.direct_sum``.
+``field_ranks_from_z`` derives field Betti numbers from integral homology
+by universal coefficients, so that the field kernel ``echelon`` is checked
+against the Smith form.  Besides the oracles it holds test inputs and
+probes: ``stellar_sphere`` builds polytopal spheres around a given complex,
+and the ``face_listings`` fixture records each face listing the library
+makes.
 """
 
 from __future__ import annotations
@@ -772,8 +777,7 @@ def per_subset_wedge_splitting(
 
     summands: list[WedgeSummand] = []
     trivial = 0
-    total_rank: dict[int, int] = {}
-    total_tors: dict[int, list[int]] = {}
+    terms = []
     for mask in range(1, 1 << K.m):
         size = mask.bit_count()
         if size_filter is not None and size not in size_filter:
@@ -791,22 +795,64 @@ def per_subset_wedge_splitting(
                 contractible=sub.is_cone(),
             )
         )
-        for deg, (rank, tors) in hom.groups:
-            d = deg + size + 1
-            total_rank[d] = total_rank.get(d, 0) + rank
-            if tors:
-                total_tors.setdefault(d, []).extend(tors)
-    assembled = {
-        d: (total_rank.get(d, 0), merge_torsion(total_tors.get(d, [])))
-        for d in set(total_rank) | set(total_tors)
-    }
+        terms.extend((deg + size + 1, rank, tors) for deg, (rank, tors) in hom.groups)
     summands.sort(key=lambda s: (len(s.subset), s.subset))
     return WedgeSplitting(
         m=K.m,
         coeff=coeff,
         summands=tuple(summands),
         trivial_count=trivial,
-        total=GradedHomology.from_dict(coeff, assembled),
+        total=dict_direct_sum(coeff, terms),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the previous maximal-face filter and direct sums, kept as oracles for
+# complexes._maximal and GradedHomology.direct_sum
+#
+# full_subcomplex compared every pair of restricted faces; wedge_splitting
+# folded its total, and the join Kuenneth sum its groups, into a rank dict
+# and a torsion dict by degree.
+
+
+def pairwise_maximal_faces(faces) -> list[int]:
+    """The masks among ``faces`` that lie in no other, in increasing order;
+    the empty face stays only when it is the only face."""
+    distinct = set(faces)
+    return sorted(f for f in distinct if not any(f != g and f & ~g == 0 for g in distinct))
+
+
+def dict_direct_sum(coeff: str, terms) -> GradedHomology:
+    """The direct sum of (degree, rank, cyclic orders) terms, as the wedge
+    total was accumulated: ranks and orders in two dicts, merged at the end."""
+    total_rank: dict[int, int] = {}
+    total_tors: dict[int, list[int]] = {}
+    for d, rank, tors in terms:
+        total_rank[d] = total_rank.get(d, 0) + rank
+        if tors:
+            total_tors.setdefault(d, []).extend(tors)
+    assembled = {
+        d: (total_rank.get(d, 0), merge_torsion(total_tors.get(d, [])))
+        for d in set(total_rank) | set(total_tors)
+    }
+    return GradedHomology.from_dict(coeff, assembled)
+
+
+def dict_join_homology(A: GradedHomology, B: GradedHomology) -> GradedHomology:
+    """Reduced homology of a join from its two sides by the Kuenneth sum, as
+    ``momentangle._join_homology`` accumulated it before ``direct_sum``."""
+    rank: dict[int, int] = {}
+    tors: dict[int, list[int]] = {}
+    for i, (ra, ta) in A.groups:
+        for j, (rb, tb) in B.groups:
+            d = i + j + 1
+            rank[d] = rank.get(d, 0) + ra * rb
+            cross = [math.gcd(a, b) for a in ta for b in tb]  # Z/a (x) Z/b = Tor = Z/gcd
+            tors.setdefault(d, []).extend(list(ta) * rb + list(tb) * ra + cross)
+            tors.setdefault(d + 1, []).extend(cross)
+    return GradedHomology.from_dict(
+        A.coeff,
+        {d: (rank.get(d, 0), merge_torsion(tors.get(d, []))) for d in set(rank) | set(tors)},
     )
 
 

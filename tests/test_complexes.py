@@ -1,10 +1,17 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import face_counts_by_card, h_from_f_polynomial, powerset_faces
+from conftest import (
+    face_counts_by_card,
+    h_from_f_polynomial,
+    pairwise_maximal_faces,
+    powerset_faces,
+    run_python,
+)
 from torictop import (
     CapExceededError,
     HVector,
@@ -24,7 +31,7 @@ from torictop import (
     simplex_polytope,
     validate_complex,
 )
-from torictop.complexes import SimplicialComplex, require_face_work
+from torictop.complexes import SimplicialComplex, _maximal, _vertices_of, require_face_work
 
 
 def test_validate_four_cycle():
@@ -96,6 +103,58 @@ def test_full_subcomplex_monotone():
         # indices of I inside the relabeled K_J
         I_in_J = [KJ.labels.index(v) + 1 for v in I]
         assert full_subcomplex(K, I) == full_subcomplex(KJ, I_in_J)
+
+
+@st.composite
+def face_lists(draw):
+    """(m, masks): faces on m <= 12 vertices of mixed sizes, with faces inside
+    others, duplicates and the empty face, in a drawn order."""
+    m = draw(st.integers(1, 12))
+    full = (1 << m) - 1
+    tops = draw(st.lists(st.integers(0, full), min_size=1, max_size=8))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(tops), st.integers(0, full)), max_size=20))
+    repeats = draw(st.lists(st.sampled_from(tops), max_size=4))
+    faces = tops + [t & c for t, c in cuts] + repeats + [0] * draw(st.integers(0, 2))
+    return m, draw(st.permutations(faces))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(face_lists(), st.data())
+def test_maximal_faces_match_the_pairwise_filter(drawn, data):
+    m, faces = drawn
+    want = pairwise_maximal_faces(faces)
+    assert _maximal(faces) == want
+    K = validate_complex([list(_vertices_of(f)) for f in faces], m)
+    assert K.masks == tuple(want)
+    I = sorted(data.draw(st.sets(st.integers(1, m), min_size=1)))
+    imask = sum(1 << (v - 1) for v in I)
+    restricted = pairwise_maximal_faces(f & imask for f in K.masks)
+    KI = full_subcomplex(K, I)
+    assert KI.labels == tuple(I)
+    got = [tuple(KI.labels[v - 1] for v in f) for f in KI.maximal_faces]
+    assert got == [_vertices_of(f) for f in restricted if f]
+
+
+def test_validating_twenty_thousand_facets_takes_linear_time(tmp_path):
+    # 20 000 distinct 4-vertex facets on 40 vertices: a pure list, on which a
+    # quadratic maximal-face filter spent over 20 s before the input was refused
+    rng = random.Random(20000)
+    facets: set[tuple[int, ...]] = set()
+    while len(facets) < 20000:
+        facets.add(tuple(sorted(rng.sample(range(1, 41), 4))))
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps({"n": 4, "complex": {"m": 40, "facets": sorted(facets)}}))
+    proc = run_python(f"""
+import json, pathlib, subprocess, sys
+from torictop import validate_complex
+obj = json.loads(pathlib.Path({str(path)!r}).read_text())["complex"]
+assert len(validate_complex(obj["facets"], obj["m"]).masks) == 20000
+proc = subprocess.run([sys.executable, "-m", "torictop.cli", "hvec", "--input", {str(path)!r}],
+                      capture_output=True, text=True)
+assert proc.returncode == 2, proc.stderr
+assert "not a pseudomanifold" in proc.stderr, proc.stderr
+""", timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def brute_minimal_non_faces(K):

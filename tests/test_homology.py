@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIELD_TAGS,
     brute_reduced_betti,
+    dict_direct_sum,
     f2_rank,
     field_ranks,
     field_ranks_from_z,
@@ -59,7 +60,7 @@ def test_snf_identity():
 
 
 def test_snf_zero():
-    r = smith_normal_form(IntegerMatrix.zero(3, 2))
+    r = smith_normal_form(IntegerMatrix.from_rows([[0, 0]] * 3))
     assert r.diagonal == () and r.rank == 0
 
 
@@ -94,7 +95,7 @@ def test_snf_divisibility_and_minor_gcds():
 
 
 def test_chain_homology_point():
-    point = [IntegerMatrix.zero(1, 0)]
+    point = [IntegerMatrix.from_rows([[]])]
     assert chain_homology(point).as_dict() == {0: (1, ())}
 
 
@@ -233,6 +234,24 @@ def test_merge_torsion_regroups_into_divisibility_chain():
     assert merge_torsion([2, 2, 4]) == (2, 2, 4)
     assert merge_torsion([4, 6]) == (2, 12)
     assert merge_torsion([]) == ()
+
+
+# (degree, rank, cyclic orders): repeated degrees, zero ranks, and orders that share primes
+graded_terms = st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 3),
+                                  st.lists(st.integers(1, 36), max_size=4)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_terms, st.data())
+def test_direct_sum_matches_the_dict_accumulation(terms, data):
+    want = dict_direct_sum("Z", terms)
+    assert GradedHomology.direct_sum("Z", terms) == want
+    assert GradedHomology.direct_sum("Z", data.draw(st.permutations(terms))) == want
+    # a degree's invariant factors are those of the diagonal matrix of its orders
+    for deg, (_, tors) in want.groups:
+        orders = [d for t in terms if t[0] == deg for d in t[2]]
+        diag = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+        assert tors == reference_smith_normal_form(IntegerMatrix.from_rows(diag)).torsion
 
 
 def test_graded_homology_serialization_round_trip():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import (
     FIELD_TAGS,
     brute_reduced_betti,
+    dict_direct_sum,
+    dict_join_homology,
     field_ranks,
     field_ranks_from_z,
     graded_tensor_unreduced,
@@ -325,6 +327,18 @@ def test_join_homology_formula():
     two = GradedHomology.from_dict("Z", {1: (0, (2,))})
     three = GradedHomology.from_dict("Z", {1: (0, (3,))})
     assert _join_homology(two, three).is_trivial()
+
+
+# reduced homology of a complex: degree -1 (the empty complex) and up, with torsion
+graded_groups = st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 2),
+                                   st.lists(st.integers(2, 12), max_size=2)),
+                         max_size=4).map(lambda terms: dict_direct_sum("Z", terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graded_groups, graded_groups)
+def test_join_homology_matches_the_dict_accumulation(A, B):
+    assert _join_homology(A, B) == dict_join_homology(A, B)
 
 
 def test_product_of_four_simplex_boundaries_over_z():
