@@ -5,10 +5,12 @@ and its torsion; invariant factors are unique, so the result does not
 depend on the pivot order.  Every field takes its ranks from one sparse
 eliminator, ``linalg.echelon``: over F_p on Python ints reduced mod p, exact
 for every prime, and over Q on ints for as long as its pivots are units.
-Direct sums of graded groups go through ``GradedHomology.direct_sum``, the
-one place where torsion is regrouped into invariant factors.  One parser,
-``linalg.coeff_prime``, reads the tags 'Z', 'Q' and 'F<p>' and remembers
-the last few, so each function takes the tag alone.
+One routine, ``merge_torsion``, owns invariant factors: it fixes the
+divisibility of the Smith form's diagonal and regroups the torsion of the
+direct sums that ``GradedHomology.direct_sum`` builds, by gcds and lcms, so
+no integer is factored.  One parser, ``linalg.coeff_prime``, reads the tags
+'Z', 'Q' and 'F<p>' and remembers the last few, so each function takes the
+tag alone.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -71,8 +73,8 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
     first unit found will do) and clear its column, then its row, by
     division with remainder; a nonzero remainder becomes the new pivot.  A
     cleared pivot gives one diagonal entry, and its row and column are
-    deleted.  Then fix divisibility once, by gcd/lcm exchanges among the
-    non-unit diagonal entries, which factors nothing.  Invariant factors are
+    deleted.  Then fix divisibility once, by ``merge_torsion``'s gcd/lcm
+    exchanges among the non-unit diagonal entries.  Invariant factors are
     unique, so the pivot order does not show in the result.
     """
     M = [list(r) for r in A.entries]
@@ -111,48 +113,25 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
         del M[pi]
         for row in M:
             del row[pj]
-    rest = sorted(d for d in diag if d > 1)
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = math.gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return SNFResult((1,) * (len(diag) - len(rest)) + tuple(rest))
+    rest = merge_torsion(diag)
+    return SNFResult((1,) * (len(diag) - len(rest)) + rest)
 
 
 def merge_torsion(parts: list[int]) -> tuple[int, ...]:
-    """Invariant factors of a direct sum of cyclic groups Z/d.
+    """Invariant factors of a direct sum of cyclic groups Z/d, units dropped.
 
-    Splits each d into prime powers, then regroups the largest powers of
-    every prime into one factor, the next largest into the next, and so on,
-    which restores the divisibility chain.
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so each pair (i, j > i) of
+    orders is replaced by its gcd and lcm, after which the i-th divides every
+    later one.  Nothing is factored: the cost is quadratic in the number of
+    orders, whatever their size.  Orders 0 and +-1 are dropped.
     """
-    by_prime: dict[int, list[int]] = {}
-    for d in parts:
-        d = abs(d)
-        if d <= 1:
-            continue
-        p = 2
-        while p * p <= d:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                by_prime.setdefault(p, []).append(e)
-            p += 1
-        if d > 1:
-            by_prime.setdefault(d, []).append(1)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for level in range(depth):
-        f = 1
-        for p, exps in by_prime.items():
-            if level < len(exps):
-                f *= p ** exps[level]
-        factors.append(f)
-    return tuple(sorted(factors))
+    rest = sorted(abs(d) for d in parts if abs(d) > 1)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            if rest[j] % rest[i]:
+                g = math.gcd(rest[i], rest[j])
+                rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return tuple(d for d in rest if d > 1)
 
 
 @_frozen

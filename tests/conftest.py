@@ -3,7 +3,7 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Eleven exceptions are kept as differential oracles for the code that
+Twelve exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
@@ -20,9 +20,11 @@ the p x n residue loop, for ``splitting.split``; ``two_part_vanishing_rule``,
 the even-degree check plus the odd-degree loop of the projection
 certificate, for ``splitting.vanishing_range_check``;
 ``pairwise_maximal_faces``, the maximal-face filter of ``full_subcomplex``,
-for ``complexes._maximal``; and ``dict_direct_sum`` and
+for ``complexes._maximal``; ``dict_direct_sum`` and
 ``dict_join_homology``, the dict accumulations of the wedge total and of
-the join Kuenneth sum, for ``GradedHomology.direct_sum``.
+the join Kuenneth sum, for ``GradedHomology.direct_sum``; and
+``prime_power_merge_torsion``, the previous ``merge_torsion``, which
+regroups prime powers found by trial division, for ``merge_torsion``.
 ``field_ranks_from_z`` derives field Betti numbers from integral homology
 by universal coefficients, so that the field kernel ``echelon`` is checked
 against the Smith form.  Besides the oracles it holds test inputs and
@@ -70,7 +72,6 @@ from torictop.homology import (
     GradedHomology,
     IntegerMatrix,
     SNFResult,
-    merge_torsion,
     reduced_homology,
 )
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
@@ -807,12 +808,15 @@ def per_subset_wedge_splitting(
 
 
 # ---------------------------------------------------------------------------
-# the previous maximal-face filter and direct sums, kept as oracles for
-# complexes._maximal and GradedHomology.direct_sum
+# the previous maximal-face filter, direct sums and torsion regrouping, kept
+# as oracles for complexes._maximal, GradedHomology.direct_sum and
+# homology.merge_torsion
 #
 # full_subcomplex compared every pair of restricted faces; wedge_splitting
 # folded its total, and the join Kuenneth sum its groups, into a rank dict
-# and a torsion dict by degree.
+# and a torsion dict by degree; merge_torsion split each order into prime
+# powers by trial division, which never ends on an order with a large prime
+# factor, so the oracle takes small orders only.
 
 
 def pairwise_maximal_faces(faces) -> list[int]:
@@ -820,6 +824,42 @@ def pairwise_maximal_faces(faces) -> list[int]:
     the empty face stays only when it is the only face."""
     distinct = set(faces)
     return sorted(f for f in distinct if not any(f != g and f & ~g == 0 for g in distinct))
+
+
+def prime_power_merge_torsion(parts: list[int]) -> tuple[int, ...]:
+    """Invariant factors of a direct sum of cyclic groups Z/d.
+
+    Splits each d into prime powers, then regroups the largest powers of
+    every prime into one factor, the next largest into the next, and so on,
+    which restores the divisibility chain.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for d in parts:
+        d = abs(d)
+        if d <= 1:
+            continue
+        p = 2
+        while p * p <= d:
+            if d % p == 0:
+                e = 0
+                while d % p == 0:
+                    d //= p
+                    e += 1
+                by_prime.setdefault(p, []).append(e)
+            p += 1
+        if d > 1:
+            by_prime.setdefault(d, []).append(1)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    depth = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for level in range(depth):
+        f = 1
+        for p, exps in by_prime.items():
+            if level < len(exps):
+                f *= p ** exps[level]
+        factors.append(f)
+    return tuple(sorted(factors))
 
 
 def dict_direct_sum(coeff: str, terms) -> GradedHomology:
@@ -832,7 +872,7 @@ def dict_direct_sum(coeff: str, terms) -> GradedHomology:
         if tors:
             total_tors.setdefault(d, []).extend(tors)
     assembled = {
-        d: (total_rank.get(d, 0), merge_torsion(total_tors.get(d, [])))
+        d: (total_rank.get(d, 0), prime_power_merge_torsion(total_tors.get(d, [])))
         for d in set(total_rank) | set(total_tors)
     }
     return GradedHomology.from_dict(coeff, assembled)
@@ -852,7 +892,8 @@ def dict_join_homology(A: GradedHomology, B: GradedHomology) -> GradedHomology:
             tors.setdefault(d + 1, []).extend(cross)
     return GradedHomology.from_dict(
         A.coeff,
-        {d: (rank.get(d, 0), merge_torsion(tors.get(d, []))) for d in set(rank) | set(tors)},
+        {d: (rank.get(d, 0), prime_power_merge_torsion(tors.get(d, [])))
+         for d in set(rank) | set(tors)},
     )
 
 

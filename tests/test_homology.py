@@ -15,6 +15,7 @@ from conftest import (
     field_ranks_from_z,
     fraction_rank,
     mod_p_rank,
+    prime_power_merge_torsion,
     random_complex_faces,
     reference_smith_normal_form,
     run_python,
@@ -236,6 +237,42 @@ def test_merge_torsion_regroups_into_divisibility_chain():
     assert merge_torsion([]) == ()
 
 
+# orders up to 10^4: 7-smooth ones, which share primes, among all others, with 0 and +-1
+SMOOTH_ORDERS = tuple(sorted(
+    d for d in (2**a * 3**b * 5**c * 7**e for a in range(14) for b in range(9) for c in range(6)
+                for e in range(5)) if d <= 10**4))
+small_orders = st.one_of(st.sampled_from(SMOOTH_ORDERS), st.sampled_from((0, 1, -1)),
+                         st.integers(-10**4, 10**4))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(small_orders, min_size=1, max_size=12), st.data())
+def test_merge_torsion_matches_the_prime_power_regrouping(parts, data):
+    parts = parts + data.draw(st.lists(st.sampled_from(parts), max_size=6))  # duplicates
+    parts = data.draw(st.permutations(parts))
+    assert merge_torsion(parts) == prime_power_merge_torsion(parts)
+
+
+def test_merge_torsion_matches_sympy_on_orders_above_two_to_the_sixty():
+    # in a child under a timeout, since trial division of such orders would not end
+    proc = run_python("""
+import math, random
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from torictop.homology import IntegerMatrix, merge_torsion, smith_normal_form
+huge = (2**61 - 1, 2**61, 3**40, (2**61 - 1) ** 2, 2**89 - 1, (2**61 - 1) * (2**89 - 1))
+rng = random.Random(61)
+for _ in range(60):
+    parts = [rng.choice(huge) * rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(rng.randint(1, 5))]
+    diag = [[d if i == j else 0 for j in range(len(parts))] for i, d in enumerate(parts)]
+    want = tuple(abs(int(d)) for d in sympy_snf(Matrix(diag), domain=ZZ).diagonal() if abs(d) > 1)
+    assert merge_torsion(parts) == want, parts
+    assert smith_normal_form(IntegerMatrix.from_rows(diag)).torsion == want, parts
+    assert math.prod(want) == math.prod(parts)
+""", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # (degree, rank, cyclic orders): repeated degrees, zero ranks, and orders that share primes
 graded_terms = st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 3),
                                   st.lists(st.integers(1, 36), max_size=4)), max_size=12)
@@ -341,16 +378,21 @@ def test_snf_matches_the_previous_snf_and_sympy_on_every_full_subcomplex():
 
 
 def test_snf_with_huge_diagonal_entries_factors_nothing():
-    # trial division of the second entry would not end; in a child process
-    # under a timeout, so that it fails the test instead of hanging it
+    # trial division of the second entry, or of the prime 2^61 - 1 in a
+    # direct sum, would not end; in a child process under a timeout, so that
+    # it fails the test instead of hanging it
     proc = run_python("""
 import time
-from torictop.homology import IntegerMatrix, smith_normal_form
+from torictop.homology import IntegerMatrix, merge_torsion, smith_normal_form
 a = 10**30 + 57
 t = time.perf_counter()
 d = smith_normal_form(IntegerMatrix.from_rows([[a, 0], [0, a * (2**61 - 1)]])).diagonal
 assert time.perf_counter() - t < 1
 assert d == (a, a * (2**61 - 1)), d
+t = time.perf_counter()
+d = merge_torsion([2**61 - 1, 2, 4])
+assert time.perf_counter() - t < 1
+assert d == (2, 4 * (2**61 - 1)), d
 """)
     assert proc.returncode == 0, proc.stderr
 
