@@ -2,15 +2,16 @@
 
 Integral homology comes from an SNF per boundary map, which gives its rank
 and its torsion; invariant factors are unique, so the result does not
-depend on the pivot order.  Every field takes its ranks from one sparse
-eliminator, ``linalg.echelon``: over F_p on Python ints reduced mod p, exact
-for every prime, and over Q on ints for as long as its pivots are units.
-One routine, ``merge_torsion``, owns invariant factors: it fixes the
-divisibility of the Smith form's diagonal and regroups the torsion of the
-direct sums that ``GradedHomology.direct_sum`` builds, by gcds and lcms, so
-no integer is factored.  One parser, ``linalg.coeff_prime``, reads the tags
-'Z', 'Q' and 'F<p>' and remembers the last few, so each function takes the
-tag alone.
+depend on the pivot order.  The SNF clears a pivot's whole row before its
+column, which keeps dense entries small with no modulus.  Every field takes
+its ranks from one sparse eliminator, ``linalg.echelon``: over F_p on
+Python ints reduced mod p, exact for every prime, and over Q on ints for as
+long as its pivots are units.  One routine, ``merge_torsion``, owns
+invariant factors: it fixes the divisibility of the Smith form's diagonal
+and regroups the torsion of the direct sums that
+``GradedHomology.direct_sum`` builds, by gcds and lcms, so no integer is
+factored.  One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and
+'F<p>' and remembers the last few, so each function takes the tag alone.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -70,12 +71,11 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
     """Invariant factors, in two steps.
 
     Diagonalise: take an entry of least absolute value as the pivot (the
-    first unit found will do) and clear its column, then its row, by
-    division with remainder; a nonzero remainder becomes the new pivot.  A
-    cleared pivot gives one diagonal entry, and its row and column are
-    deleted.  Then fix divisibility once, by ``merge_torsion``'s gcd/lcm
-    exchanges among the non-unit diagonal entries.  Invariant factors are
-    unique, so the pivot order does not show in the result.
+    first unit found will do), reduce its whole row modulo it, then its
+    whole column, which changes one entry per row; the least remainder
+    becomes the new pivot.  Whole passes keep dense entries small.  A
+    cleared pivot's row and column are deleted.  Then ``merge_torsion``
+    fixes divisibility once.
     """
     M = [list(r) for r in A.entries]
     diag: list[int] = []
@@ -93,22 +93,23 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
             break
         while True:
             prow, piv = M[pi], M[pi][pj]
-            for i, row in enumerate(M):
-                if row[pj] and i != pi:
-                    q = row[pj] // piv
-                    M[i] = row = [a - q * b for a, b in zip(row, prow)]
-                    if row[pj]:
-                        pi = i
-                        break
-            else:
-                # the column is clear, so column operations change the pivot row only
-                for j, v in enumerate(prow):
-                    if j != pj:
-                        prow[j] = v % piv
-                nonzero = [j for j, v in enumerate(prow) if v and j != pj]
-                if not nonzero:
-                    break
-                pj = nonzero[0]
+            support = [row for row in M if row[pj]]  # the rows a column operation changes
+            for j, v in enumerate(prow):
+                if v and j != pj:
+                    q = v // piv
+                    for row in support:
+                        row[j] -= q * row[pj]
+            nonzero = [j for j, v in enumerate(prow) if v and j != pj]
+            if nonzero:
+                pj = min(nonzero, key=lambda j: abs(prow[j]))
+                continue
+            nonzero = [i for i, row in enumerate(M) if row[pj] % piv]
+            if not nonzero:
+                break
+            for row in support:
+                row[pj] %= piv
+            prow[pj] = piv  # which the loop above reduced to 0
+            pi = min(nonzero, key=lambda i: abs(M[i][pj]))
         diag.append(abs(piv))
         del M[pi]
         for row in M:

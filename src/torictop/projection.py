@@ -273,17 +273,15 @@ def steenrod_hit_search(s: int) -> tuple[int, int] | None:
     """Smallest j with Sq^(2j) carrying t^(s-j) to t^s on a degree-2 class.
 
     Sq^(2j)(t^r) = C(r, j) t^(r+j), and C(r, j) is odd exactly when the
-    base-2 digits of j are dominated by those of r.  Returns (r, j) with
-    r = s - j for the first j in 1..floor(s/2) whose binomial is odd, or
-    None; the None cases are exactly s = 2^e - 1.
+    base-2 digits of j are dominated by those of r.  The least such j is the
+    lowest set bit 2^e of s + 1: s ends in e one bits, a smaller j has its
+    lowest bit clear in s - j, and s - 2^e borrows into bit e.  Returns
+    (s - j, j) when j <= s/2, else None: exactly when s = 2^e - 1.
     """
     if s < 1:
         raise InputError("need s >= 1")
-    for j in range(1, s // 2 + 1):
-        r = s - j
-        if j & ~r == 0:  # C(r, j) odd
-            return (r, j)
-    return None
+    j = (s + 1) & -(s + 1)
+    return None if j > s // 2 else (s - j, j)
 
 
 def _is_power_of_two(x: int) -> bool:

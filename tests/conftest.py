@@ -3,14 +3,15 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Twelve exceptions are kept as differential oracles for the code that
+Fourteen exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
-eliminator in ``linalg``; ``reference_smith_normal_form``, the previous
-Smith normal form, for ``homology.smith_normal_form``;
-``face_ring_cohomology``, the library's previous cohomology engine, for
-``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
+eliminator in ``linalg``; ``reference_smith_normal_form``, an earlier
+Smith normal form, and ``column_first_smith_normal_form``, the previous
+one, which cleared the pivot column before the pivot row, for
+``homology.smith_normal_form``; ``face_ring_cohomology``, the library's
+previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
 ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the previous
 wedge splitting that builds and reduces every full subcomplex, for
 ``wedge_splitting``; the symbolic mod-2 presentations
@@ -22,9 +23,11 @@ certificate, for ``splitting.vanishing_range_check``;
 ``pairwise_maximal_faces``, the maximal-face filter of ``full_subcomplex``,
 for ``complexes._maximal``; ``dict_direct_sum`` and
 ``dict_join_homology``, the dict accumulations of the wedge total and of
-the join Kuenneth sum, for ``GradedHomology.direct_sum``; and
+the join Kuenneth sum, for ``GradedHomology.direct_sum``;
 ``prime_power_merge_torsion``, the previous ``merge_torsion``, which
-regroups prime powers found by trial division, for ``merge_torsion``.
+regroups prime powers found by trial division, for ``merge_torsion``;
+and ``steenrod_hit_loop``, the candidate walk of the mod-2 hit search,
+for the closed form of ``projection.steenrod_hit_search``.
 ``field_ranks_from_z`` derives field Betti numbers from integral homology
 by universal coefficients, so that the field kernel ``echelon`` is checked
 against the Smith form.  Besides the oracles it holds test inputs and
@@ -72,6 +75,7 @@ from torictop.homology import (
     GradedHomology,
     IntegerMatrix,
     SNFResult,
+    merge_torsion,
     reduced_homology,
 )
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
@@ -267,6 +271,56 @@ def reference_smith_normal_form(A: IntegerMatrix) -> SNFResult:
         if t == rows or t == cols:
             break
     return SNFResult(tuple(diag))
+
+
+# The previous two-step Smith form: it cleared the pivot column with whole-row
+# subtractions before it reduced the pivot row, and took the first nonzero
+# remainder as the next pivot, so entries grow on dense input (about three
+# minutes on the seeded dense 50 x 50 matrix of the tests).  It is a second
+# oracle of ``homology.smith_normal_form``, on small or sparse input only.
+
+
+def column_first_smith_normal_form(A: IntegerMatrix) -> SNFResult:
+    """Invariant factors: clear the pivot's column, then its row, then fix
+    divisibility with ``merge_torsion``."""
+    M = [list(r) for r in A.entries]
+    diag: list[int] = []
+    while True:
+        best = 0
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
+        while True:
+            prow, piv = M[pi], M[pi][pj]
+            for i, row in enumerate(M):
+                if row[pj] and i != pi:
+                    q = row[pj] // piv
+                    M[i] = row = [a - q * b for a, b in zip(row, prow)]
+                    if row[pj]:
+                        pi = i
+                        break
+            else:
+                # the column is clear, so column operations change the pivot row only
+                for j, v in enumerate(prow):
+                    if j != pj:
+                        prow[j] = v % piv
+                nonzero = [j for j, v in enumerate(prow) if v and j != pj]
+                if not nonzero:
+                    break
+                pj = nonzero[0]
+        diag.append(abs(piv))
+        del M[pi]
+        for row in M:
+            del row[pj]
+    rest = merge_torsion(diag)
+    return SNFResult((1,) * (len(diag) - len(rest)) + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +589,17 @@ def run_python(code: str, timeout: float = 20) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=timeout)
+
+
+def steenrod_hit_loop(s: int) -> tuple[int, int] | None:
+    """The previous ``steenrod_hit_search``: try j = 1, 2, ..., s // 2 and
+    return (s - j, j) for the first j whose bits lie in those of s - j, so
+    it walks s / 2 candidates when s = 2^e - 1."""
+    for j in range(1, s // 2 + 1):
+        r = s - j
+        if j & ~r == 0:  # C(r, j) odd
+            return (r, j)
+    return None
 
 
 def pascal_parity_table(limit: int):

@@ -105,6 +105,8 @@ def golden_calls() -> list[list[str]]:
     calls.append(["qtm", "--fixture", "bott3", "--coeff", "F2", "--text"])
     calls += [["nontrivial", "--fixture", name] for name in quasitoric]
     calls.append(["cube-census"])
+    calls += [["nontrivial", "--two-simplices", n, k]
+              for n, k in (("5", "2"), ("2", "1"), ("3", "0"), ("6", "3"))]
     for name in zk_fixtures:
         calls += [["zk", "--fixture", name, "--coeff", c] for c in ZK_COEFFS]
     for name in ("cp2", "bott3", "hirzebruch"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIELD_TAGS,
     brute_reduced_betti,
+    column_first_smith_normal_form,
     dict_direct_sum,
     f2_rank,
     field_ranks,
@@ -330,6 +331,7 @@ def assert_snf_matches_the_oracles(A, with_sympy=True):
 
     ours = smith_normal_form(A).diagonal
     assert ours == reference_smith_normal_form(A).diagonal, A
+    assert ours == column_first_smith_normal_form(A).diagonal, A
     if with_sympy:
         diag = sympy_snf(Matrix(A.entries), domain=ZZ).diagonal() if A.rows and A.cols else ()
         assert ours == tuple(abs(int(d)) for d in diag if d), A
@@ -351,6 +353,33 @@ def snf_matrices(draw):
 @given(snf_matrices())
 def test_snf_matches_the_previous_snf_and_sympy(A):
     assert_snf_matches_the_oracles(A)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Up to 8 x 8, entries up to 10^6 in absolute value, about half of them
+    zero, with drawn rows and columns set to zero."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, 7), max_size=3)):
+        if i < m:
+            rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, 7), max_size=3)):
+        if j < n:
+            for row in rows:
+                row[j] = 0
+    return IntegerMatrix.from_rows(rows, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices_with_zero_lines())
+def test_snf_matches_sympy_on_entries_up_to_a_million(A):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    diag = sympy_snf(Matrix(A.entries), domain=ZZ).diagonal() if A.rows and A.cols else ()
+    assert smith_normal_form(A).diagonal == tuple(abs(int(d)) for d in diag if d), A
 
 
 def fixture_and_golden_complexes():
@@ -423,8 +452,8 @@ def test_field_homology_never_runs_the_smith_form(monkeypatch, capsys):
 
 
 def test_dense_rational_chain_homology_takes_its_rank_from_echelon():
-    # the Smith form lets the entries of a dense matrix grow exponentially; it
-    # ran for more than a minute on this 50 x 50 one before Q used echelon
+    # a field never runs the Smith form, which on this 50 x 50 matrix once
+    # ran for more than a minute
     proc = run_python("""
 import random
 from torictop import linalg
@@ -434,6 +463,32 @@ M = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in (40, 40
 assert chain_homology([IntegerMatrix.from_rows(M)], "Q").as_dict() == {}
 assert linalg.rank_mod_p(M, 0) == linalg.rank_int(M) == 50
 """, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dense_smith_form_keeps_its_entries_small():
+    # clearing the pivot column first spread multiples of the pivot row over
+    # the matrix, and the 50 x 50 matrix took about three minutes; in a child
+    # under a timeout, so that such growth fails the test instead of hanging it
+    proc = run_python("""
+import math, random, time
+from torictop import linalg
+from torictop.homology import IntegerMatrix, chain_homology, smith_normal_form
+rng = random.Random(5)
+Ms = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in (40, 40, 50, 80)]
+t = time.perf_counter()
+snfs = [smith_normal_form(IntegerMatrix.from_rows(M)) for M in Ms[:3]]
+assert time.perf_counter() - t < 2
+t = time.perf_counter()
+snfs.append(smith_normal_form(IntegerMatrix.from_rows(Ms[3])))
+assert time.perf_counter() - t < 10
+for M, snf in zip(Ms, snfs):
+    det = linalg.det_int(M)
+    assert det and snf.rank == len(M)
+    assert math.prod(snf.diagonal) == abs(det)
+h0 = chain_homology([IntegerMatrix.from_rows(Ms[2])], "Z").as_dict()[0]
+assert h0[0] == 0 and math.prod(h0[1]) == abs(linalg.det_int(Ms[2])), h0
+""", timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -2,7 +2,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import cube_determinant_f2, cube_presentation, pascal_parity_table
+from conftest import (
+    cube_determinant_f2,
+    cube_presentation,
+    pascal_parity_table,
+    run_python,
+    steenrod_hit_loop,
+)
 from torictop import (
     CharacteristicMatrix,
     InputError,
@@ -201,6 +207,30 @@ def test_steenrod_hit_against_pascal_parity():
                 break
         assert steenrod_hit_search(s) == expected
         assert (expected is None) == ((s + 1) & s == 0)  # s = 2^e - 1
+
+
+def test_steenrod_hit_closed_form_matches_the_loop():
+    for s in range(1, 1 << 17):
+        assert steenrod_hit_search(s) == steenrod_hit_loop(s), s
+
+
+def test_two_simplices_check_on_huge_n_returns_at_once():
+    # the candidate walk took s / 2 steps for s = n - 1 = 2^e - 1; in a child
+    # under a timeout, so that such a walk fails the test instead of hanging it
+    proc = run_python("""
+import time
+from torictop import cli
+from torictop.projection import two_simplices_check
+t = time.perf_counter()
+for n in (2**30, 2**200):
+    v = two_simplices_check(n, 2)
+    assert v.conclusion == "inconclusive", v
+    assert v.witness["hits"] == {
+        str(s): {"hit": None, "s_plus_1_power_of_two": True} for s in (3, n - 1)}, v
+assert cli.main(["nontrivial", "--two-simplices", str(2**30), "2"]) == 0
+assert time.perf_counter() - t < 1
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_two_simplices_pinned():
