@@ -29,7 +29,7 @@ _EXPORTS = {
     "momentangle": ("WedgeSplitting", "WedgeSummand", "moment_angle_homology", "wedge_splitting"),
     "projection": (
         "CubeCensus", "NontrivialityVerdict", "ProjectionReport", "SummandCertificate",
-        "TrivialityCertificate", "cube_census", "p_local_note", "projection_decomposition",
+        "TrivialityCertificate", "cube_census", "p_local_note", "projection_reports",
         "squaring_kernel", "steenrod_hit_search", "suspension_triviality_check",
         "two_simplices_check",
     ),

@@ -36,18 +36,17 @@ DEFAULT_CAP_EXACT = 16
 
 @_frozen
 class WedgeSummand:
-    """One wedge piece: the full subcomplex on I, suspended |I|+2 times.
+    """One wedge piece with nonzero homology: the full subcomplex on I,
+    suspended |I|+2 times.
 
     ``homology`` is the reduced homology of |K_I| itself (unshifted); the
     piece contributes that homology to Z_K with degrees raised by |I|+1.
-    ``contractible`` certifies that K_I is a cone (some vertex lies in every
-    maximal face; a full simplex on I is the extreme case), which forces the
-    homology to vanish.
+    A piece with homology is never a cone, so a report's ``"contractible"``
+    is always false; the key stays for readers of earlier reports.
     """
 
     subset: tuple[int, ...]
     homology: GradedHomology
-    contractible: bool
 
     @property
     def suspension_shift(self) -> int:
@@ -58,7 +57,7 @@ class WedgeSummand:
             "I": list(self.subset),
             "shift": self.suspension_shift,
             "homology": self.homology.to_json_obj(),
-            "contractible": self.contractible,
+            "contractible": False,
         }
 
 
@@ -158,22 +157,20 @@ def wedge_splitting(
     coeff: str = "Z",
     size_filter: set[int] | None = None,
     cap: int | None = None,
-    keep_trivial: bool = False,
 ) -> WedgeSplitting:
     """Enumerate the wedge summands of the suspended moment-angle complex.
 
     ``size_filter`` restricts to subsets I with |I| in the given set.  The
     enumeration refuses to run past the cap (default 16 vertices with exact
     coefficients, 24 over a finite field) unless ``cap`` overrides it.
-    Summands with vanishing homology are only counted unless
-    ``keep_trivial`` asks for them to be materialized.
+    Only the summands with nonzero homology are returned, in (size, subset)
+    order; the others are counted in ``trivial_count``.
 
     A subset I on which K_I is a cone (I is not the union of the minimal
-    non-faces inside it) is counted as trivial without building K_I, and
-    materialized as contractible with empty homology.  When K is a join of
-    several factors, each factor's pieces of I are reduced once and a
-    summand's homology is the join Kuenneth product of its pieces; a K with
-    one factor reduces every remaining K_I directly.
+    non-faces inside it) is counted as trivial without building K_I.  When
+    K is a join of several factors, each factor's pieces of I are reduced
+    once and a summand's homology is the join Kuenneth product of its
+    pieces; a K with one factor reduces every remaining K_I directly.
     """
     limit = _cap_for(coeff, cap)  # a bad tag is refused before the cap, and once
     if K.m > limit:
@@ -198,21 +195,18 @@ def wedge_splitting(
     for mask in range(1, 1 << K.m):
         if size_filter is not None and mask.bit_count() not in size_filter:
             continue
-        cone = is_cone(mask)
-        if cone:
-            hom = GradedHomology(coeff, ())
-        elif len(factors) == 1:
-            hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
-        else:
-            hom = unit
-            for V in factors:
-                if mask & V:
-                    hom = _join_homology(hom, piece(mask & V))
-        if hom.is_trivial():
-            trivial += 1
-            if not keep_trivial:
+        if not is_cone(mask):
+            if len(factors) == 1:
+                hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+            else:
+                hom = unit
+                for V in factors:
+                    if mask & V:
+                        hom = _join_homology(hom, piece(mask & V))
+            if not hom.is_trivial():
+                summands.append(WedgeSummand(_vertices_of(mask), hom))
                 continue
-        summands.append(WedgeSummand(_vertices_of(mask), hom, cone))
+        trivial += 1
     summands.sort(key=lambda s: (len(s.subset), s.subset))
     total = GradedHomology.direct_sum(coeff, ((deg + len(s.subset) + 1, rank, tors)
                                               for s in summands

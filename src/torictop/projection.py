@@ -106,41 +106,46 @@ class TrivialityCertificate:
         }
 
 
-def _certify_summand(subset, sub_homology, is_face, sub_dim, p) -> SummandCertificate:
-    from .splitting import residue_class, vanishing_range_check
-    size = len(subset)
-    i = residue_class(size, p)
-    target_dim = 2 * i + 1
-    if is_face:
-        return SummandCertificate(subset, i, CERT_SIMPLEX, {"face": True})
-    if size == i:
-        # not a simplex, so dim K_I <= |I| - 2 and the summand has dimension
-        # at most 2|I| = 2i < 2i+1
-        top_cell = size + 2 + sub_dim
-        details = {"dim_K_I": sub_dim, "top_cell": top_cell, "bound": 2 * size,
-                   "target_sphere": target_dim}
-        if sub_dim > size - 2 or top_cell > 2 * size:
-            return SummandCertificate(subset, i, CERT_NONE, details)
-        return SummandCertificate(subset, i, CERT_DIMENSION, details)
-    # the degrees of the suspended summand that p-local homology sees
-    degrees = [deg + size + 2 for deg, (rank, tors) in sub_homology.groups
-               if rank > 0 or any(t % p == 0 for t in tors)]
-    details = {"source_degrees": degrees, "target_sphere": target_dim}
-    ok = vanishing_range_check(degrees, target_dim, p)
-    return SummandCertificate(subset, i, CERT_VANISHING if ok else CERT_NONE, details)
-
-
 def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCertificate]:
+    """One certificate per nonempty subset I, in (size, subset) order.
+
+    Only the splitting's kept summands have homology; "I is a face" is a
+    lookup in K's face listing, and dim K_I is read off the facets only for
+    the dimension certificate.
+    """
+    from itertools import combinations
     from .momentangle import wedge_splitting
-    splitting = wedge_splitting(P.complex, coeff="Z", cap=cap, keep_trivial=True)
+    from .splitting import residue_class, vanishing_range_check
+    K = P.complex
+    kept = {s.subset: s.homology.groups for s in wedge_splitting(K, coeff="Z", cap=cap).summands}
+    vertices = range(1, K.m + 1)
+    bits = [1 << (v - 1) for v in vertices]
     certs = []
-    for s in splitting.summands:
-        mask = sum(1 << (v - 1) for v in s.subset)
-        # K_I's largest face has `top` vertices: dim K_I = top - 1, and I
-        # spans a face exactly when top = |I|
-        top = max((f & mask).bit_count() for f in P.complex.masks)
-        certs.append(_certify_summand(s.subset, s.homology, top == len(s.subset), top - 1, p))
-    return certs  # in the splitting's (size, subset) order
+    for size in vertices:
+        faces = set(K.faces_by_card().get(size, ()))
+        i = residue_class(size, p)
+        target_dim = 2 * i + 1
+        for subset, subset_bits in zip(combinations(vertices, size), combinations(bits, size)):
+            mask = sum(subset_bits)
+            if mask in faces:
+                kind, details = CERT_SIMPLEX, {"face": True}
+            elif size == i:
+                # not a face, so dim K_I <= |I| - 2 and the summand has
+                # dimension at most 2|I| = 2i < 2i+1
+                sub_dim = max(map(int.bit_count, map(mask.__and__, K.masks))) - 1
+                top_cell = size + 2 + sub_dim
+                kind = CERT_DIMENSION if top_cell <= 2 * size else CERT_NONE
+                details = {"dim_K_I": sub_dim, "top_cell": top_cell, "bound": 2 * size,
+                           "target_sphere": target_dim}
+            else:
+                # the degrees of the suspended summand that p-local homology sees
+                degrees = [deg + size + 2 for deg, (rank, tors) in kept.get(subset, ())
+                           if rank > 0 or any(t % p == 0 for t in tors)]
+                ok = not degrees or vanishing_range_check(degrees, target_dim, p)
+                kind = CERT_VANISHING if ok else CERT_NONE
+                details = {"source_degrees": degrees, "target_sphere": target_dim}
+            certs.append(SummandCertificate(subset, i, kind, details))
+    return certs
 
 
 def _triviality(P: PolytopeDual, p: int, certs: list[SummandCertificate]) -> TrivialityCertificate:
@@ -154,8 +159,13 @@ def _triviality(P: PolytopeDual, p: int, certs: list[SummandCertificate]) -> Tri
 def projection_reports(
     P: PolytopeDual, lam: CharacteristicMatrix, p: int, cap: int | None = None
 ) -> tuple[ProjectionReport, TrivialityCertificate]:
-    """``projection_decomposition`` and ``suspension_triviality_check`` at
-    the cost of one, since both are read off the same wedge splitting."""
+    """The wedge summands grouped by residue class with their certificates,
+    and the ``suspension_triviality_check`` verdict, from one walk.
+
+    Every nonempty subset of the vertex set appears in exactly one group;
+    group i receives the subsets with |I| = i mod p-1 and maps to the target
+    piece X_i computed from the h-vector Betti numbers.
+    """
     from .complexes import h_vector_of
     from .quasitoric import require_admissible
     from .splitting import EvenBettiData, _require_split_prime, split
@@ -173,18 +183,6 @@ def projection_reports(
         groups={i: tuple(v) for i, v in groups.items()},
     )
     return rep, _triviality(P, p, certs)
-
-
-def projection_decomposition(
-    P: PolytopeDual, lam: CharacteristicMatrix, p: int, cap: int | None = None
-) -> ProjectionReport:
-    """Group the wedge summands by residue class and attach certificates.
-
-    Every nonempty subset of the vertex set appears in exactly one group;
-    group i receives the subsets with |I| = i mod p-1 and maps to the target
-    piece X_i computed from the h-vector Betti numbers.
-    """
-    return projection_reports(P, lam, p, cap)[0]
 
 
 def suspension_triviality_check(

@@ -55,8 +55,13 @@ def _require_split_prime(p: int):
 
 
 def multiplicative_order(u: int, p: int) -> int:
+    """The least k >= 1 with u^k = 1 mod p, for p up to SPLIT_PRIME_BOUND:
+    the powers of u are walked one at a time, up to p - 1 of them."""
     if p < 2:  # mod 1 the loop below would never end, mod 0 it would divide by zero
         raise InputError(f"the modulus p={p} must be at least 2")
+    if p > SPLIT_PRIME_BOUND:
+        raise InputError(f"the modulus p={p} is above {SPLIT_PRIME_BOUND}, the bound on p for "
+                         f"an order: it would walk up to {p - 1} powers of u")
     u %= p
     if math.gcd(u, p) != 1:  # no power of u is 1 mod p
         raise InputError("u must be coprime to p")
@@ -69,9 +74,9 @@ def multiplicative_order(u: int, p: int) -> int:
 
 
 def is_primitive_root(u: int, p: int) -> bool:
-    if p < 2 or math.gcd(u, p) == 1:  # multiplicative_order refuses p < 2
-        return multiplicative_order(u, p) == p - 1
-    return False
+    if 2 <= p <= SPLIT_PRIME_BOUND and math.gcd(u, p) != 1:
+        return False
+    return multiplicative_order(u, p) == p - 1  # which refuses every other p
 
 
 def primitive_root(p: int) -> int:

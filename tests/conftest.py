@@ -3,7 +3,7 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Fourteen exceptions are kept as differential oracles for the code that
+Fifteen exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
@@ -14,8 +14,10 @@ one, which cleared the pivot column before the pivot row, for
 previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
 ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the previous
 wedge splitting that builds and reduces every full subcomplex, for
-``wedge_splitting``; the symbolic mod-2 presentations
-(``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
+``wedge_splitting``; ``summand_scan_certificates``, the previous
+projection certificates, which materialize every subset's summand and scan
+the facets for each, for ``projection._certificates``; the symbolic mod-2
+presentations (``cube_presentation``, ``product_presentation``, ``cube_parameters``) for
 ``cohomology_ring`` over F2 and ``cube_census``; ``split_by_double_loop``,
 the p x n residue loop, for ``splitting.split``; ``two_part_vanishing_rule``,
 the even-degree check plus the odd-degree loop of the projection
@@ -79,12 +81,20 @@ from torictop.homology import (
     reduced_homology,
 )
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
+from torictop.projection import (
+    CERT_DIMENSION,
+    CERT_NONE,
+    CERT_SIMPLEX,
+    CERT_VANISHING,
+    SummandCertificate,
+)
 from torictop.quasitoric import (
     CharacteristicMatrix,
     CohomologyPresentation,
     require_admissible,
     validate_characteristic,
 )
+from torictop.splitting import residue_class, vanishing_range_check
 
 
 def powerset_faces(maximal_faces) -> set[tuple[int, ...]]:
@@ -821,15 +831,13 @@ def per_subset_wedge_splitting(
     coeff: str = "Z",
     size_filter: set[int] | None = None,
     cap: int | None = None,
-    keep_trivial: bool = False,
 ) -> WedgeSplitting:
     """Enumerate the wedge summands of the suspended moment-angle complex.
 
     ``size_filter`` restricts to subsets I with |I| in the given set.  The
     enumeration refuses to run past the cap (default 16 vertices with exact
     coefficients, 24 over a finite field) unless ``cap`` overrides it.
-    Summands with vanishing homology are only counted unless
-    ``keep_trivial`` asks for them to be materialized.
+    Summands with vanishing homology are only counted.
     """
     limit = _cap_for(coeff, cap)
     if K.m > limit:
@@ -848,19 +856,11 @@ def per_subset_wedge_splitting(
         size = mask.bit_count()
         if size_filter is not None and size not in size_filter:
             continue
-        sub = full_subcomplex(K, _vertices_of(mask))
-        hom = reduced_homology(sub, coeff)
+        hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
         if hom.is_trivial():
             trivial += 1
-            if not keep_trivial:
-                continue
-        summands.append(
-            WedgeSummand(
-                subset=_vertices_of(mask),
-                homology=hom,
-                contractible=sub.is_cone(),
-            )
-        )
+            continue
+        summands.append(WedgeSummand(subset=_vertices_of(mask), homology=hom))
         terms.extend((deg + size + 1, rank, tors) for deg, (rank, tors) in hom.groups)
     summands.sort(key=lambda s: (len(s.subset), s.subset))
     return WedgeSplitting(
@@ -870,6 +870,53 @@ def per_subset_wedge_splitting(
         trivial_count=trivial,
         total=dict_direct_sum(coeff, terms),
     )
+
+
+# ---------------------------------------------------------------------------
+# the previous projection certificates, kept as the oracle for
+# projection._certificates
+#
+# Every one of the 2^m - 1 summands is materialized, with empty homology when
+# the splitting drops it, and each one scans the facets of K for dim K_I and
+# the face test.  Patched in for projection._certificates, it must give the
+# same report bytes.
+
+
+def _certify_summand(subset, sub_homology, is_face, sub_dim, p) -> SummandCertificate:
+    size = len(subset)
+    i = residue_class(size, p)
+    target_dim = 2 * i + 1
+    if is_face:
+        return SummandCertificate(subset, i, CERT_SIMPLEX, {"face": True})
+    if size == i:
+        # not a simplex, so dim K_I <= |I| - 2 and the summand has dimension
+        # at most 2|I| = 2i < 2i+1
+        top_cell = size + 2 + sub_dim
+        details = {"dim_K_I": sub_dim, "top_cell": top_cell, "bound": 2 * size,
+                   "target_sphere": target_dim}
+        if sub_dim > size - 2 or top_cell > 2 * size:
+            return SummandCertificate(subset, i, CERT_NONE, details)
+        return SummandCertificate(subset, i, CERT_DIMENSION, details)
+    # the degrees of the suspended summand that p-local homology sees
+    degrees = [deg + size + 2 for deg, (rank, tors) in sub_homology.groups
+               if rank > 0 or any(t % p == 0 for t in tors)]
+    details = {"source_degrees": degrees, "target_sphere": target_dim}
+    ok = vanishing_range_check(degrees, target_dim, p)
+    return SummandCertificate(subset, i, CERT_VANISHING if ok else CERT_NONE, details)
+
+
+def summand_scan_certificates(P: PolytopeDual, p: int, cap: int | None) -> list:
+    K = P.complex
+    kept = {s.subset: s.homology for s in per_subset_wedge_splitting(K, "Z", cap=cap).summands}
+    certs = []
+    for subset in sorted(map(_vertices_of, range(1, 1 << K.m)), key=lambda I: (len(I), I)):
+        mask = sum(1 << (v - 1) for v in subset)
+        # K_I's largest face has `top` vertices: dim K_I = top - 1, and I
+        # spans a face exactly when top = |I|
+        top = max((f & mask).bit_count() for f in K.masks)
+        hom = kept.get(subset, GradedHomology("Z", ()))
+        certs.append(_certify_summand(subset, hom, top == len(subset), top - 1, p))
+    return certs
 
 
 # ---------------------------------------------------------------------------

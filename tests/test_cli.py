@@ -146,7 +146,7 @@ def test_projection_command(capsys):
 
 
 def test_projection_report_halves_match_the_library(capsys, monkeypatch):
-    from torictop import momentangle, projection_decomposition, suspension_triviality_check
+    from torictop import momentangle, projection_reports, suspension_triviality_check
     from torictop.complexes import full_subcomplex
 
     calls = {"wedge_splitting": 0}
@@ -166,7 +166,7 @@ def test_projection_report_halves_match_the_library(capsys, monkeypatch):
         P, lam = fixtures.load_quasitoric(name)
         for p in (3, 5, 7):
             want = {
-                "decomposition": projection_decomposition(P, lam, p).to_json_obj(),
+                "decomposition": projection_reports(P, lam, p)[0].to_json_obj(),
                 "triviality": suspension_triviality_check(P, p).to_json_obj(),
             }
             with monkeypatch.context() as patch:

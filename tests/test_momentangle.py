@@ -34,8 +34,8 @@ from torictop import (
     validate_complex,
     wedge_splitting,
 )
-from torictop.complexes import PolytopeDual, f_vector
-from torictop.momentangle import _join_homology
+from torictop.complexes import PolytopeDual, _vertices_of, f_vector
+from torictop.momentangle import _join_homology, _summand_structure
 from test_golden import COMPLEXES, INPUTS
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
@@ -90,9 +90,9 @@ def test_segment_times_triangle_is_product_of_spheres():
 
 
 def test_single_point_gives_nothing():
-    sp = wedge_splitting(validate_complex([[1]], 1), keep_trivial=True)
+    sp = wedge_splitting(validate_complex([[1]], 1))
     assert sp.total.is_trivial()
-    assert all(s.contractible for s in sp.summands)
+    assert sp.summands == () and sp.trivial_count == 1
 
 
 def test_ghost_vertex_gives_circle():
@@ -107,15 +107,29 @@ def test_summand_bookkeeping_is_complete():
     assert {s.subset for s in sp.summands} == {(1, 3), (2, 4), (1, 2, 3, 4)}
 
 
-def test_contractible_flag_is_cone_detection():
-    sp = wedge_splitting(simplex_boundary(2), keep_trivial=True)
-    flags = {s.subset: s.contractible for s in sp.summands}
+def assert_cone_test_is_cone_detection(K):
+    """The mask cone test of the splitting agrees with ``is_cone`` of the
+    full subcomplex on every nonempty subset, and a cone has no summand."""
+    is_cone, _ = _summand_structure(K)
+    kept = {s.subset for s in wedge_splitting(K, "Z").summands}
+    for mask in range(1, 1 << K.m):
+        I = _vertices_of(mask)
+        assert is_cone(mask) == full_subcomplex(K, I).is_cone(), I
+        assert not (is_cone(mask) and I in kept), I
+
+
+def test_cone_test_is_cone_detection():
+    K = simplex_boundary(2)
+    is_cone, _ = _summand_structure(K)
     # proper subsets span faces, hence cones; the full set is the circle
-    assert flags[(1, 2)] and flags[(1,)]
-    assert not flags[(1, 2, 3)]
-    for s in sp.summands:
-        if s.contractible:
-            assert s.homology.is_trivial()
+    assert is_cone(0b011) and is_cone(0b001)
+    assert not is_cone(0b111)
+    assert_cone_test_is_cone_detection(K)
+    # a ghost vertex is no apex, but an apex beside it still makes a cone
+    K = validate_complex([[2, 3]], 3)
+    is_cone, _ = _summand_structure(K)
+    assert not is_cone(0b001) and is_cone(0b011)
+    assert_cone_test_is_cone_detection(K)
 
 
 def test_size_filter():
@@ -184,23 +198,19 @@ def test_torsion_is_merged_into_divisibility_chains():
 
 
 def assert_matches_per_subset_path(K, coeff, **kwargs):
-    """Same report bytes as the per-subset oracle, and every emitted
-    summand's contractible flag is the cone test of its full subcomplex."""
+    """Same report bytes as the per-subset oracle."""
     got = wedge_splitting(K, coeff, **kwargs)
     want = per_subset_wedge_splitting(K, coeff, **kwargs)
     assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
-    for s in got.summands:
-        assert s.contractible == full_subcomplex(K, s.subset).is_cone()
 
 
 @pytest.mark.parametrize("name", fixtures.names())
 def test_wedge_splitting_matches_the_per_subset_path_on_fixtures(name):
     K = fixtures.load_polytope(name).complex
     for coeff in ("Z", "Q", "F2", "F3", "F5"):
-        for keep_trivial in (False, True):
-            for sizes in (None, {2, K.m}):
-                assert_matches_per_subset_path(K, coeff, size_filter=sizes,
-                                               keep_trivial=keep_trivial)
+        for sizes in (None, {2, K.m}):
+            assert_matches_per_subset_path(K, coeff, size_filter=sizes)
+    assert_cone_test_is_cone_detection(K)
 
 
 @st.composite
@@ -227,15 +237,17 @@ SPLITTING_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize
 
 
 @SPLITTING_ORACLE_SETTINGS
-@given(small_complexes(9), st.sampled_from(["Z", "Q", "F2", "F3"]), st.booleans())
-def test_wedge_splitting_matches_the_per_subset_path_on_random_complexes(K, coeff, keep):
-    assert_matches_per_subset_path(K, coeff, keep_trivial=keep)
+@given(small_complexes(9), st.sampled_from(["Z", "Q", "F2", "F3"]))
+def test_wedge_splitting_matches_the_per_subset_path_on_random_complexes(K, coeff):
+    assert_matches_per_subset_path(K, coeff)
+    assert_cone_test_is_cone_detection(K)
 
 
 @SPLITTING_ORACLE_SETTINGS
-@given(random_joins(), st.sampled_from(["Z", "Q", "F2", "F3"]), st.booleans())
-def test_wedge_splitting_matches_the_per_subset_path_on_random_joins(K, coeff, keep):
-    assert_matches_per_subset_path(K, coeff, keep_trivial=keep)
+@given(random_joins(), st.sampled_from(["Z", "Q", "F2", "F3"]))
+def test_wedge_splitting_matches_the_per_subset_path_on_random_joins(K, coeff):
+    assert_matches_per_subset_path(K, coeff)
+    assert_cone_test_is_cone_detection(K)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +325,7 @@ def test_join_kuenneth_keeps_the_tor_term():
         assert [s.homology for s in whole] == [reduced_homology(K, "Z")]
     # RP2 * RP2: Z/2 (x) Z/2 in degree 3, and Tor(Z/2, Z/2) one degree up
     assert reduced_homology(join(rp2, rp2), "Z").as_dict() == {3: (0, (2,)), 4: (0, (2,))}
-    assert_matches_per_subset_path(join(rp2, s0), "Z", keep_trivial=True)
+    assert_matches_per_subset_path(join(rp2, s0), "Z")
 
 
 def test_join_homology_formula():

@@ -1,6 +1,9 @@
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_determinant_f2,
@@ -8,6 +11,7 @@ from conftest import (
     pascal_parity_table,
     run_python,
     steenrod_hit_loop,
+    summand_scan_certificates,
 )
 from torictop import (
     CharacteristicMatrix,
@@ -18,7 +22,7 @@ from torictop import (
     generalized_bott,
     p_local_note,
     polygon_polytope,
-    projection_decomposition,
+    projection_reports,
     simplex_polytope,
     squaring_kernel,
     steenrod_hit_search,
@@ -26,7 +30,7 @@ from torictop import (
     two_simplices_check,
     validate_characteristic,
 )
-from torictop import fixtures
+from torictop import fixtures, momentangle, projection
 from torictop.projection import CERT_DIMENSION, CERT_SIMPLEX, CERT_VANISHING
 
 CP2 = (simplex_polytope(2), CharacteristicMatrix.from_rows([[1, 0, -1], [0, 1, -1]]))
@@ -36,7 +40,7 @@ SQUARE = (polygon_polytope(4), CharacteristicMatrix.from_rows([[1, 0, -1, 0], [0
 def test_decomposition_groups_partition_everything():
     P, lam = SQUARE
     for p in (3, 5, 7):
-        rep = projection_decomposition(P, lam, p)
+        rep = projection_reports(P, lam, p)[0]
         subsets = [c.subset for c in rep.all_certificates()]
         assert len(subsets) == 2**P.m - 1
         assert len(set(subsets)) == len(subsets)
@@ -46,7 +50,7 @@ def test_decomposition_groups_partition_everything():
 
 def test_decomposition_simplex_p5():
     P, lam = CP2
-    rep = projection_decomposition(P, lam, 5)
+    rep = projection_reports(P, lam, 5)[0]
     kinds = {c.subset: c.kind for c in rep.all_certificates()}
     for I in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]:
         assert kinds[I] == CERT_SIMPLEX
@@ -57,14 +61,14 @@ def test_decomposition_simplex_p5():
 
 def test_grouping_sizes_four_cycle_p3():
     P, lam = SQUARE
-    rep = projection_decomposition(P, lam, 3)
+    rep = projection_reports(P, lam, 3)[0]
     sizes = {i: len(g) for i, g in rep.groups.items()}
     assert sizes == {1: 8, 2: 7}  # |I| in {1,3} and |I| in {2,4}
 
 
 def test_empty_groups_when_m_small():
     P, lam = CP2
-    rep = projection_decomposition(P, lam, 7)
+    rep = projection_reports(P, lam, 7)[0]
     assert all(len(rep.groups[i]) == 0 for i in (4, 5, 6))
 
 
@@ -123,7 +127,7 @@ def test_certificate_soundness_recompute():
     for name in fixtures.quasitoric_names():
         P, lam = fixtures.load_quasitoric(name)
         for p in (3, 5, 7):
-            rep = projection_decomposition(P, lam, p)
+            rep = projection_reports(P, lam, p)[0]
             for c in rep.all_certificates():
                 sub = full_subcomplex(P.complex, c.subset)
                 assert (c.kind == CERT_SIMPLEX) == P.complex.has_face(c.subset)
@@ -132,6 +136,82 @@ def test_certificate_soundness_recompute():
                 if c.kind == CERT_DIMENSION:
                     assert sub.dim <= len(c.subset) - 2
                     assert 2 * len(c.subset) < 2 * c.group + 1
+
+
+ORACLE_PRIMES = (3, 5, 7, 11, 65521)
+
+
+def triviality_bytes(P, p):
+    return json.dumps(suspension_triviality_check(P, p).to_json_obj(), sort_keys=True)
+
+
+def report_bytes(P, lam, p):
+    halves = projection_reports(P, lam, p)
+    return [json.dumps(r.to_json_obj(), sort_keys=True) for r in halves] + [triviality_bytes(P, p)]
+
+
+def with_summand_scan(f, *args):
+    """``f(*args)`` with the previous certificates patched in for the subset walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection, "_certificates", summand_scan_certificates)
+        return f(*args)
+
+
+def assert_matches_the_summand_scan(P, lam, p):
+    assert report_bytes(P, lam, p) == with_summand_scan(report_bytes, P, lam, p), (P.m, p)
+
+
+@pytest.mark.parametrize("name", fixtures.quasitoric_names())
+def test_projection_matches_the_summand_scan_on_fixtures(name):
+    P, lam = fixtures.load_quasitoric(name)
+    for p in ORACLE_PRIMES:
+        assert_matches_the_summand_scan(P, lam, p)
+
+
+@st.composite
+def bott_towers(draw, max_m):
+    """A generalized Bott tower with at most ``max_m`` facets and small twists."""
+    dims = []
+    while not dims or (sum(d + 1 for d in dims) + 2 <= max_m and draw(st.booleans())):
+        dims.append(draw(st.integers(1, max_m - 1 - sum(d + 1 for d in dims))))
+    params = [[draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)) for _ in range(j)]
+              for j, d in enumerate(dims)]
+    return generalized_bott(dims, params)
+
+
+# With m <= 10, p = 11 already puts every subset I in group |I|, as 65521
+# does; 65521 only adds empty groups, which the fixtures cover.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(bott_towers(10), st.sampled_from(ORACLE_PRIMES[:-1]))
+def test_projection_matches_the_summand_scan_on_bott_towers(tower, p):
+    assert_matches_the_summand_scan(*tower, p)
+
+
+def test_the_summand_scan_catches_every_subset_read_as_a_face(monkeypatch):
+    # the square's face listing holding every subset: the walk then certifies
+    # every summand "simplex".  Only the triviality half is compared, since
+    # the h-vector of the projection report reads the same listing.
+    P = SQUARE[0]
+    assert triviality_bytes(P, 3) == with_summand_scan(triviality_bytes, P, 3)
+    every = {size: [mask for mask in range(16) if mask.bit_count() == size] for size in range(5)}
+    monkeypatch.setitem(P.complex.__dict__, "faces_by_card", lambda: every)
+    assert triviality_bytes(P, 3) != with_summand_scan(triviality_bytes, P, 3)
+
+
+def test_the_summand_scan_catches_a_dropped_summand(monkeypatch):
+    # the largest kept summand of the square, (1, 2, 3, 4), is certified by
+    # its degrees at p = 3; without its homology it has none
+    splitting = momentangle.wedge_splitting
+
+    def drop_last(*args, **kwargs):
+        sp = splitting(*args, **kwargs)
+        return momentangle.WedgeSplitting(sp.m, sp.coeff, sp.summands[:-1], sp.trivial_count,
+                                          sp.total)
+
+    P, lam = SQUARE
+    monkeypatch.setattr(momentangle, "wedge_splitting", drop_last)
+    assert report_bytes(P, lam, 3) != with_summand_scan(report_bytes, P, lam, 3)
 
 
 def test_squaring_kernel_cp2_inconclusive():

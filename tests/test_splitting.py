@@ -113,6 +113,25 @@ assert (u, eigen_scalar(65521, u, 1, 1), eigen_scalar(65521, u, 1, 2)) == (17, 2
     assert proc.returncode == 0, proc.stderr
 
 
+def test_order_and_root_tests_refuse_p_above_the_splitting_bound():
+    # the order is found by walking up to p - 1 powers of u, so a large modulus
+    # would not return; in a child under a timeout, so that such a walk fails
+    proc = run_python("""
+from torictop.errors import InputError
+from torictop.splitting import SPLIT_PRIME_BOUND, is_primitive_root, multiplicative_order
+for u, p in ((3, 2**31 - 1), (2, 65537), (2, SPLIT_PRIME_BOUND + 2)):
+    for f in (multiplicative_order, is_primitive_root):
+        try:
+            f(u, p)
+        except InputError as e:
+            assert str(e).startswith(f"the modulus p={p} is above {SPLIT_PRIME_BOUND}"), e
+        else:
+            raise AssertionError((f.__name__, u, p))
+assert is_primitive_root(17, 65521) and multiplicative_order(2, 9) == 6
+""", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_splittings_refuse_p_above_the_bound():
     b = EvenBettiData(3, (1, 1, 1, 1))
     assert len(split(b, 65521)) == 65520  # the largest prime below the bound
