@@ -15,14 +15,16 @@ minimal non-face hypergraph, so K_I is the join of its pieces on those
 components: each piece is reduced once, and the summands of a join are
 assembled from the pieces by the join Kuenneth formula.
 
-Summands are enumerated once, as bitmasks in increasing order; only
-summands with nonzero homology are kept, and the total is their direct sum.
+One walk, ``_subsets``, visits the subsets in (size, subset) order; the
+splitting keeps and sums the summands with nonzero homology, and the
+projection certificates read the same walk.
 No cell structure on Z_K itself is ever built.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from ._record import _frozen
 from .complexes import SimplicialComplex, _vertices_of, full_subcomplex
@@ -152,36 +154,27 @@ def _join_homology(A: GradedHomology, B: GradedHomology) -> GradedHomology:
     return GradedHomology.direct_sum(A.coeff, terms)
 
 
-def wedge_splitting(
-    K: SimplicialComplex,
-    coeff: str = "Z",
-    size_filter: set[int] | None = None,
-    cap: int | None = None,
-) -> WedgeSplitting:
-    """Enumerate the wedge summands of the suspended moment-angle complex.
+def _subsets(K: SimplicialComplex, coeff: str, sizes=None, cap: int | None = None):
+    """Walk the nonempty subsets I with |I| in ``sizes`` (every size when
+    None) in (size, subset) order, yielding I, its mask and the reduced
+    homology of K_I.
 
-    ``size_filter`` restricts to subsets I with |I| in the given set.  The
-    enumeration refuses to run past the cap (default 16 vertices with exact
-    coefficients, 24 over a finite field) unless ``cap`` overrides it.
-    Only the summands with nonzero homology are returned, in (size, subset)
-    order; the others are counted in ``trivial_count``.
-
-    A subset I on which K_I is a cone (I is not the union of the minimal
-    non-faces inside it) is counted as trivial without building K_I.  When
-    K is a join of several factors, each factor's pieces of I are reduced
-    once and a summand's homology is the join Kuenneth product of its
-    pieces; a K with one factor reduces every remaining K_I directly.
+    The walk refuses to run past the cap (default 16 vertices with exact
+    coefficients, 24 over a finite field) unless ``cap`` overrides it.  A
+    cone K_I gets one shared empty homology without being built, and a join
+    reduces each factor's piece of I once (see the module docstring).
     """
     limit = _cap_for(coeff, cap)  # a bad tag is refused before the cap, and once
     if K.m > limit:
         raise CapExceededError(f"m={K.m} exceeds the enumeration cap {limit}: it would enumerate "
                                f"{(1 << K.m) - 1} subsets; pass a larger cap to override")
-    if size_filter is not None:
-        size_filter = set(size_filter)
-        if any(s < 1 or s > K.m for s in size_filter):
-            raise InputError("size filter values must lie in 1..m")
+    vertices = range(1, K.m + 1)
+    sizes = vertices if sizes is None else sorted(set(sizes))
+    if any(s < 1 or s > K.m for s in sizes):
+        raise InputError("size filter values must lie in 1..m")
 
     is_cone, factors = _summand_structure(K)
+    empty = GradedHomology(coeff, ())
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join
     pieces: dict[int, GradedHomology] = {}
 
@@ -190,28 +183,38 @@ def wedge_splitting(
             pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
         return pieces[mask]
 
-    summands: list[WedgeSummand] = []
-    trivial = 0
-    for mask in range(1, 1 << K.m):
-        if size_filter is not None and mask.bit_count() not in size_filter:
-            continue
-        if not is_cone(mask):
-            if len(factors) == 1:
-                hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+    bits = [1 << (v - 1) for v in vertices]
+    for size in sizes:
+        for subset, subset_bits in zip(combinations(vertices, size), combinations(bits, size)):
+            mask = sum(subset_bits)
+            if is_cone(mask):
+                hom = empty
+            elif len(factors) == 1:
+                hom = reduced_homology(full_subcomplex(K, subset), coeff)
             else:
                 hom = unit
                 for V in factors:
                     if mask & V:
                         hom = _join_homology(hom, piece(mask & V))
-            if not hom.is_trivial():
-                summands.append(WedgeSummand(_vertices_of(mask), hom))
-                continue
-        trivial += 1
-    summands.sort(key=lambda s: (len(s.subset), s.subset))
+            yield subset, mask, hom
+
+
+def wedge_splitting(K: SimplicialComplex, coeff: str = "Z", size_filter: set[int] | None = None,
+                    cap: int | None = None) -> WedgeSplitting:
+    """The wedge summands of the suspended moment-angle complex, folded from
+    one ``_subsets`` walk over the sizes in ``size_filter`` (every size when
+    None).  Only the summands with nonzero homology are returned, in (size,
+    subset) order; the others, cones included, are counted in ``trivial_count``.
+    """
+    summands: list[WedgeSummand] = []
+    walked = 0
+    for walked, (subset, _, hom) in enumerate(_subsets(K, coeff, size_filter, cap), 1):
+        if not hom.is_trivial():
+            summands.append(WedgeSummand(subset, hom))
     total = GradedHomology.direct_sum(coeff, ((deg + len(s.subset) + 1, rank, tors)
                                               for s in summands
                                               for deg, (rank, tors) in s.homology.groups))
-    return WedgeSplitting(K.m, coeff, tuple(summands), trivial, total)
+    return WedgeSplitting(K.m, coeff, tuple(summands), walked - len(summands), total)
 
 
 def moment_angle_homology(

@@ -107,44 +107,45 @@ class TrivialityCertificate:
 
 
 def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCertificate]:
-    """One certificate per nonempty subset I, in (size, subset) order.
+    """One certificate per nonempty subset I, read off the ``_subsets`` walk
+    in its (size, subset) order.
 
-    Only the splitting's kept summands have homology; "I is a face" is a
-    lookup in K's face listing, and dim K_I is read off the facets only for
-    the dimension certificate.
+    "I is a face" is a lookup in K's face index.  Only the dimension
+    certificate reads dim K_I, and only for |I| = i, that is |I| < p; for
+    those sizes the walk keeps dim K_I, which is |I| - 1 on a face and the
+    largest dim K_{I-v} on a non-face.
     """
-    from itertools import combinations
-    from .momentangle import wedge_splitting
+    from .momentangle import _subsets
     from .splitting import residue_class, vanishing_range_check
-    K = P.complex
-    kept = {s.subset: s.homology.groups for s in wedge_splitting(K, coeff="Z", cap=cap).summands}
-    vertices = range(1, K.m + 1)
-    bits = [1 << (v - 1) for v in vertices]
+    faces = P.complex._face_index
     certs = []
-    for size in vertices:
-        faces = set(K.faces_by_card().get(size, ()))
-        i = residue_class(size, p)
+    size, dims = 0, {0: -1}  # dim K_I for I of the current size while |I| < p
+    for subset, mask, hom in _subsets(P.complex, "Z", cap=cap):
+        if len(subset) != size:
+            size, below, dims = len(subset), dims, {}
+            i = residue_class(size, p)
         target_dim = 2 * i + 1
-        for subset, subset_bits in zip(combinations(vertices, size), combinations(bits, size)):
-            mask = sum(subset_bits)
-            if mask in faces:
-                kind, details = CERT_SIMPLEX, {"face": True}
-            elif size == i:
-                # not a face, so dim K_I <= |I| - 2 and the summand has
-                # dimension at most 2|I| = 2i < 2i+1
-                sub_dim = max(map(int.bit_count, map(mask.__and__, K.masks))) - 1
-                top_cell = size + 2 + sub_dim
-                kind = CERT_DIMENSION if top_cell <= 2 * size else CERT_NONE
-                details = {"dim_K_I": sub_dim, "top_cell": top_cell, "bound": 2 * size,
-                           "target_sphere": target_dim}
-            else:
-                # the degrees of the suspended summand that p-local homology sees
-                degrees = [deg + size + 2 for deg, (rank, tors) in kept.get(subset, ())
-                           if rank > 0 or any(t % p == 0 for t in tors)]
-                ok = not degrees or vanishing_range_check(degrees, target_dim, p)
-                kind = CERT_VANISHING if ok else CERT_NONE
-                details = {"source_degrees": degrees, "target_sphere": target_dim}
-            certs.append(SummandCertificate(subset, i, kind, details))
+        face = mask in faces
+        if size < p:
+            dims[mask] = size - 1 if face else max(below[mask ^ 1 << (v - 1)] for v in subset)
+        if face:
+            kind, details = CERT_SIMPLEX, {"face": True}
+        elif size == i:
+            # not a face, so dim K_I <= |I| - 2 and the summand has
+            # dimension at most 2|I| = 2i < 2i+1
+            sub_dim = dims[mask]
+            top_cell = size + 2 + sub_dim
+            kind = CERT_DIMENSION if top_cell <= 2 * size else CERT_NONE
+            details = {"dim_K_I": sub_dim, "top_cell": top_cell, "bound": 2 * size,
+                       "target_sphere": target_dim}
+        else:
+            # the degrees of the suspended summand that p-local homology sees
+            degrees = [deg + size + 2 for deg, (rank, tors) in hom.groups
+                       if rank > 0 or any(t % p == 0 for t in tors)]
+            ok = not degrees or vanishing_range_check(degrees, target_dim, p)
+            kind = CERT_VANISHING if ok else CERT_NONE
+            details = {"source_degrees": degrees, "target_sphere": target_dim}
+        certs.append(SummandCertificate(subset, i, kind, details))
     return certs
 
 
@@ -176,12 +177,8 @@ def projection_reports(
     groups: dict[int, list[SummandCertificate]] = {i: [] for i in range(1, p)}
     for c in certs:
         groups[c.group].append(c)
-    rep = ProjectionReport(
-        p=p,
-        m=P.m,
-        targets=tuple(targets),
-        groups={i: tuple(v) for i, v in groups.items()},
-    )
+    rep = ProjectionReport(p=p, m=P.m, targets=tuple(targets),
+                           groups={i: tuple(v) for i, v in groups.items()})
     return rep, _triviality(P, p, certs)
 
 

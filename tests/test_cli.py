@@ -149,12 +149,12 @@ def test_projection_report_halves_match_the_library(capsys, monkeypatch):
     from torictop import momentangle, projection_reports, suspension_triviality_check
     from torictop.complexes import full_subcomplex
 
-    calls = {"wedge_splitting": 0}
+    calls = {"_subsets": 0, "wedge_splitting": 0}
     built = []
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls["wedge_splitting"] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -170,15 +170,17 @@ def test_projection_report_halves_match_the_library(capsys, monkeypatch):
                 "triviality": suspension_triviality_check(P, p).to_json_obj(),
             }
             with monkeypatch.context() as patch:
-                patch.setattr(momentangle, "wedge_splitting", counted(momentangle.wedge_splitting))
+                for fn in calls:
+                    patch.setattr(momentangle, fn, counted(fn, getattr(momentangle, fn)))
                 patch.setattr(momentangle, "full_subcomplex", recorded)
-                calls.update(wedge_splitting=0)
+                calls.update(_subsets=0, wedge_splitting=0)
                 built.clear()
                 got = run_json(capsys, "projection", "--fixture", name, "--p", str(p))
             assert got["results"] == json.loads(json.dumps(want)), (name, p)
-            # both halves come from one enumeration of the 2^m - 1 summands,
-            # which builds each full subcomplex at most once and never a cone
-            assert calls == {"wedge_splitting": 1}, (name, p)
+            # both halves come from one walk of the 2^m - 1 subsets, with no
+            # wedge splitting, which builds each full subcomplex at most once
+            # and never a cone
+            assert calls == {"_subsets": 1, "wedge_splitting": 0}, (name, p)
             assert len(built) == len(set(built)), (name, p)
             assert not any(full_subcomplex(P.complex, I).is_cone() for I in built), (name, p)
 
@@ -232,10 +234,11 @@ def test_p_above_the_splitting_bound_exits_2_stating_the_pieces(capsys, monkeypa
     # refused before any work that grows with p or with 2^m
     from torictop import momentangle
 
-    def no_splitting(*args, **kwargs):
-        raise AssertionError("the wedge splitting ran")
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the subset walk ran")
 
-    monkeypatch.setattr(momentangle, "wedge_splitting", no_splitting)
+    monkeypatch.setattr(momentangle, "wedge_splitting", no_walk)
+    monkeypatch.setattr(momentangle, "_subsets", no_walk)
     rc = main([command, "--fixture", fixture, "--p", "100003"])
     captured = capsys.readouterr()
     message = "p=100003 is above 65536, the bound on p for a splitting: it would emit 100002 pieces"

@@ -35,7 +35,7 @@ from torictop import (
     wedge_splitting,
 )
 from torictop.complexes import PolytopeDual, _vertices_of, f_vector
-from torictop.momentangle import _join_homology, _summand_structure
+from torictop.momentangle import _join_homology, _subsets, _summand_structure
 from test_golden import COMPLEXES, INPUTS
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
@@ -107,15 +107,27 @@ def test_summand_bookkeeping_is_complete():
     assert {s.subset for s in sp.summands} == {(1, 3), (2, 4), (1, 2, 3, 4)}
 
 
-def assert_cone_test_is_cone_detection(K):
-    """The mask cone test of the splitting agrees with ``is_cone`` of the
-    full subcomplex on every nonempty subset, and a cone has no summand."""
+def assert_the_walk_is_cone_detection(K, coeff="Z"):
+    """The ``_subsets`` walk visits every nonempty subset of the requested
+    sizes once, in (size, subset) order.  Its mask cone test agrees with
+    ``is_cone`` of the full subcomplex on every subset; a cone gets empty
+    homology, and every other subset the reduced homology of K_I."""
     is_cone, _ = _summand_structure(K)
-    kept = {s.subset for s in wedge_splitting(K, "Z").summands}
-    for mask in range(1, 1 << K.m):
-        I = _vertices_of(mask)
-        assert is_cone(mask) == full_subcomplex(K, I).is_cone(), I
-        assert not (is_cone(mask) and I in kept), I
+    walk = list(_subsets(K, coeff))
+    every = sorted(map(_vertices_of, range(1, 1 << K.m)), key=lambda I: (len(I), I))
+    assert [I for I, _, _ in walk] == every
+    for I, mask, hom in walk:
+        assert _vertices_of(mask) == I
+        K_I = full_subcomplex(K, I)
+        assert is_cone(mask) == K_I.is_cone(), I
+        want = GradedHomology(coeff, ()) if K_I.is_cone() else reduced_homology(K_I, coeff)
+        assert hom == want, I
+    for sizes in ({2, K.m}, {1}):
+        if max(sizes) <= K.m:
+            assert list(_subsets(K, coeff, sizes)) == [w for w in walk if len(w[0]) in sizes]
+    for sizes in ({0}, {1, K.m + 1}):
+        with pytest.raises(InputError):
+            next(_subsets(K, coeff, sizes))
 
 
 def test_cone_test_is_cone_detection():
@@ -124,12 +136,16 @@ def test_cone_test_is_cone_detection():
     # proper subsets span faces, hence cones; the full set is the circle
     assert is_cone(0b011) and is_cone(0b001)
     assert not is_cone(0b111)
-    assert_cone_test_is_cone_detection(K)
+    assert_the_walk_is_cone_detection(K)
     # a ghost vertex is no apex, but an apex beside it still makes a cone
     K = validate_complex([[2, 3]], 3)
     is_cone, _ = _summand_structure(K)
     assert not is_cone(0b001) and is_cone(0b011)
-    assert_cone_test_is_cone_detection(K)
+    assert_the_walk_is_cone_detection(K)
+    # requested sizes are the only ones walked: 24 + 276 subsets of the 24-gon
+    walk = list(_subsets(polygon_boundary(24), "F2", {1, 2}))
+    assert len(walk) == 300
+    assert sum(not hom.is_trivial() for _, _, hom in walk) == 276 - 24
 
 
 def test_size_filter():
@@ -210,7 +226,7 @@ def test_wedge_splitting_matches_the_per_subset_path_on_fixtures(name):
     for coeff in ("Z", "Q", "F2", "F3", "F5"):
         for sizes in (None, {2, K.m}):
             assert_matches_per_subset_path(K, coeff, size_filter=sizes)
-    assert_cone_test_is_cone_detection(K)
+    assert_the_walk_is_cone_detection(K)
 
 
 @st.composite
@@ -240,14 +256,14 @@ SPLITTING_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize
 @given(small_complexes(9), st.sampled_from(["Z", "Q", "F2", "F3"]))
 def test_wedge_splitting_matches_the_per_subset_path_on_random_complexes(K, coeff):
     assert_matches_per_subset_path(K, coeff)
-    assert_cone_test_is_cone_detection(K)
+    assert_the_walk_is_cone_detection(K, coeff)
 
 
 @SPLITTING_ORACLE_SETTINGS
 @given(random_joins(), st.sampled_from(["Z", "Q", "F2", "F3"]))
 def test_wedge_splitting_matches_the_per_subset_path_on_random_joins(K, coeff):
     assert_matches_per_subset_path(K, coeff)
-    assert_cone_test_is_cone_detection(K)
+    assert_the_walk_is_cone_detection(K, coeff)
 
 
 @pytest.fixture(scope="module")

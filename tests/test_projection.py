@@ -15,6 +15,7 @@ from conftest import (
 )
 from torictop import (
     CharacteristicMatrix,
+    GradedHomology,
     InputError,
     cohomology_ring,
     cube_census,
@@ -189,28 +190,29 @@ def test_projection_matches_the_summand_scan_on_bott_towers(tower, p):
 
 
 def test_the_summand_scan_catches_every_subset_read_as_a_face(monkeypatch):
-    # the square's face listing holding every subset: the walk then certifies
-    # every summand "simplex".  Only the triviality half is compared, since
-    # the h-vector of the projection report reads the same listing.
+    # the square's face index holding every subset: the walk then certifies
+    # every summand "simplex" (its minimal non-faces read the same index, so
+    # every K_I is a cone as well, which a face certificate never looks at)
     P = SQUARE[0]
     assert triviality_bytes(P, 3) == with_summand_scan(triviality_bytes, P, 3)
-    every = {size: [mask for mask in range(16) if mask.bit_count() == size] for size in range(5)}
-    monkeypatch.setitem(P.complex.__dict__, "faces_by_card", lambda: every)
+    monkeypatch.setitem(P.complex.__dict__, "_face_index", dict.fromkeys(range(16), 0))
     assert triviality_bytes(P, 3) != with_summand_scan(triviality_bytes, P, 3)
 
 
 def test_the_summand_scan_catches_a_dropped_summand(monkeypatch):
-    # the largest kept summand of the square, (1, 2, 3, 4), is certified by
-    # its degrees at p = 3; without its homology it has none
-    splitting = momentangle.wedge_splitting
+    # the full subset of the square, (1, 2, 3, 4), is certified by its
+    # degrees at p = 3; with its homology dropped from the walk it has none
+    walk = momentangle._subsets
 
-    def drop_last(*args, **kwargs):
-        sp = splitting(*args, **kwargs)
-        return momentangle.WedgeSplitting(sp.m, sp.coeff, sp.summands[:-1], sp.trivial_count,
-                                          sp.total)
+    def drop_the_full_subset(K, *args, **kwargs):
+        for subset, mask, hom in walk(K, *args, **kwargs):
+            if len(subset) == K.m:
+                assert not hom.is_trivial()
+                hom = GradedHomology(hom.coeff, ())
+            yield subset, mask, hom
 
     P, lam = SQUARE
-    monkeypatch.setattr(momentangle, "wedge_splitting", drop_last)
+    monkeypatch.setattr(momentangle, "_subsets", drop_the_full_subset)
     assert report_bytes(P, lam, 3) != with_summand_scan(report_bytes, P, lam, 3)
 
 
