@@ -1,27 +1,31 @@
 """Exact simplicial homology via Smith normal form and rank computations.
 
-Integral homology comes from an SNF per boundary map, which gives its rank
-and its torsion; invariant factors are unique, so the result does not
-depend on the pivot order.  The SNF clears a pivot's whole row before its
-column, which keeps dense entries small with no modulus.  Every field takes
-its ranks from one sparse eliminator, ``linalg.echelon``: over F_p on
-Python ints reduced mod p, exact for every prime, and over Q on ints for as
-long as its pivots are units.  One routine, ``merge_torsion``, owns
-invariant factors: it fixes the divisibility of the Smith form's diagonal
-and regroups the torsion of the direct sums that
+Each boundary map is built once, as sparse signed columns read off the face
+listing.  Integral homology comes from its Smith form, which gives its rank
+and torsion; invariant factors are unique, so the pivot order does not
+matter.  The Smith form eliminates on +-1 pivots first (Dumas, Saunders and
+Villard, J. Symb. Comput. 32 (2001)), which leaves nothing on a sphere's
+boundaries, and runs its dense loop, which keeps dense entries small with no
+modulus, on what is left.  Every field takes its ranks from one sparse
+eliminator, ``linalg.echelon``, on dense rows built from the columns: over
+F_p on ints reduced mod p, and over Q on ints while its pivots are units.
+``merge_torsion`` owns invariant factors: it fixes the divisibility of the
+Smith form's diagonal and regroups the torsion of the direct sums that
 ``GradedHomology.direct_sum`` builds, by gcds and lcms, so no integer is
-factored.  One parser, ``linalg.coeff_prime``, reads the tags 'Z', 'Q' and
-'F<p>' and remembers the last few, so each function takes the tag alone.
+factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q' and 'F<p>'.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
-d∘d = 0.  Those of ``boundary_matrices`` go to the kernels unchecked; the
+d∘d = 0.  Those of ``boundary_columns`` go to the kernels unchecked; the
 test suite checks that they compose to zero.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
+from itertools import groupby
+from operator import itemgetter
 
 from . import linalg
 from ._record import _frozen
@@ -67,30 +71,62 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def smith_normal_form(A: IntegerMatrix) -> SNFResult:
-    """Invariant factors, in two steps.
-
-    Diagonalise: take an entry of least absolute value as the pivot (the
-    first unit found will do), reduce its whole row modulo it, then its
-    whole column, which changes one entry per row; the least remainder
-    becomes the new pivot.  Whole passes keep dense entries small.  A
-    cleared pivot's row and column are deleted.  Then ``merge_torsion``
-    fixes divisibility once.
+def smith_normal_form(A: IntegerMatrix | list[dict[int, int]]) -> SNFResult:
+    """Invariant factors of a matrix of sparse columns {row: entry} (or an
+    ``IntegerMatrix``).  Each column is reduced against the unit pivots so
+    far and becomes one at a +-1 entry it keeps; the leftover columns are
+    reduced again, to vanish in every pivot row.  The leftover block, empty
+    on a sphere's boundaries, is then diagonalised: pivot on the first entry
+    of least absolute value, reduce its whole row modulo it, then its whole
+    column (one entry per row), and re-pivot on the least remainder; whole
+    passes keep dense entries small.  Then ``merge_torsion`` fixes
+    divisibility once.
     """
-    M = [list(r) for r in A.entries]
-    diag: list[int] = []
-    while True:
-        best = 0
-        for i, row in enumerate(M):
-            for j, v in enumerate(row):
-                if v and (not best or abs(v) < best):
-                    best, pi, pj = abs(v), i, j
-                    if best == 1:
-                        break
-            if best == 1:
+    cols = _columns(A) if isinstance(A, IntegerMatrix) else A
+    place: dict[int, int] = {}  # pivot row -> its pivot's place in ``pivots``
+    pivots: list[tuple[int, int, dict[int, int]]] = []  # (row, +-1 there, column)
+
+    def reduce(v: dict[int, int]) -> dict[int, int]:
+        # pivot k is zero in the rows of earlier pivots: clear them in order
+        todo = [place[r] for r in v if r in place]
+        if not todo:
+            return v
+        todo.sort()
+        v = v.copy()
+        while todo:
+            r, s, p = pivots[todo.pop(0)]
+            f = v.get(r, 0) * s
+            if not f:  # a place inserted twice
+                continue
+            for i, y in p.items():
+                x = v.get(i, 0) - f * y
+                if not x:
+                    del v[i]
+                    continue
+                if i not in v and i in place:
+                    insort(todo, place[i])
+                v[i] = x
+        return v
+
+    left = []
+    for col in cols:
+        v = reduce(col)
+        for r, x in v.items():
+            if x == 1 or x == -1:
+                place[r] = len(pivots)
+                pivots.append((r, x, v))
                 break
-        if not best:
-            break
+        else:
+            if v:
+                left.append(v)
+    if not left:
+        return SNFResult((1,) * len(pivots))
+    left = [v for v in map(reduce, left) if v]
+    M = [[v.get(i, 0) for v in left] for i in sorted({i for v in left for i in v})]
+    diag: list[int] = []
+    while pivot := min(((abs(v), i, j) for i, row in enumerate(M) for j, v in enumerate(row) if v),
+                       default=None):
+        _, pi, pj = pivot
         while True:
             prow, piv = M[pi], M[pi][pj]
             support = [row for row in M if row[pj]]  # the rows a column operation changes
@@ -115,24 +151,39 @@ def smith_normal_form(A: IntegerMatrix) -> SNFResult:
         for row in M:
             del row[pj]
     rest = merge_torsion(diag)
-    return SNFResult((1,) * (len(diag) - len(rest)) + rest)
+    return SNFResult((1,) * (len(pivots) + len(diag) - len(rest)) + rest)
+
+
+def _columns(A: IntegerMatrix) -> list[dict[int, int]]:
+    return [{i: row[j] for i, row in enumerate(A.entries) if row[j]} for j in range(A.cols)]
 
 
 def merge_torsion(parts: list[int]) -> tuple[int, ...]:
-    """Invariant factors of a direct sum of cyclic groups Z/d, units dropped.
+    """Invariant factors of a direct sum of cyclic groups Z/d, units and 0 dropped.
 
-    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so each pair (i, j > i) of
-    orders is replaced by its gcd and lcm, after which the i-th divides every
-    later one.  Nothing is factored: the cost is quadratic in the number of
-    orders, whatever their size.  Orders 0 and +-1 are dropped.
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so each order in sorted order
+    takes its gcd with every later one, which takes the lcm, and then divides
+    them all.  Equal orders form runs, and only a run's first member changes,
+    as the gcd left divides the rest.  So the cost is orders times runs, and
+    nothing is factored.
     """
-    rest = sorted(abs(d) for d in parts if abs(d) > 1)
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            if rest[j] % rest[i]:
-                g = math.gcd(rest[i], rest[j])
-                rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return tuple(d for d in rest if d > 1)
+    runs = [[d, len(list(same))] for d, same in groupby(sorted(abs(d) for d in parts if abs(d) > 1))]
+    out: list[int] = []
+    while runs:
+        a = runs[0][0]
+        runs[0][1] -= 1
+        merged = []
+        for b, n in runs:
+            if b % a:
+                g = math.gcd(a, b)
+                merged += [(a // g * b, 1), (b, n - 1)]
+                a = g
+            else:
+                merged.append((b, n))
+        merged = (run for run in merged if run[1])
+        runs = [[d, sum(n for _, n in same)] for d, same in groupby(merged, itemgetter(0))]
+        out.append(a)
+    return tuple(d for d in out if d > 1)
 
 
 @_frozen
@@ -188,28 +239,26 @@ class GradedHomology:
         ]
 
 
-def _homology_from_boundaries(boundaries: list[IntegerMatrix], dims: list[int],
+def _homology_from_boundaries(boundaries: list[list[dict[int, int]]], dims: list[int],
                               base_degree: int, coeff: str) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
-    boundaries[k]: C_{k+1} -> C_k; degrees are shifted by base_degree.  Z
-    reads the Smith form, a field ``echelon``.  Trusts the maps to chain and
-    to compose to zero (see chain_homology)."""
+    boundaries[k]: C_{k+1} -> C_k as sparse columns; degrees are shifted by
+    base_degree.  Z reads the Smith form, a field ``echelon`` on dense rows.
+    Trusts the maps to chain and to compose to zero (see chain_homology)."""
     p = linalg.coeff_prime(coeff, allow_z=True)
     if p is None:
-        snfs = [smith_normal_form(mat) for mat in boundaries]
+        snfs = [smith_normal_form(cols) for cols in boundaries]
         ranks, torsion = [snf.rank for snf in snfs], [snf.torsion for snf in snfs]
     else:  # a field, F_p or Q (p = 0), has no torsion
-        ranks = [len(linalg.echelon(mat.entries, p)) for mat in boundaries]
+        ranks = [len(linalg.echelon(_rows(cols, n), p)) for cols, n in zip(boundaries, dims)]
         torsion = [()] * len(boundaries)
+    ranks.append(0)  # out of the top degree
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
-        out_rank = ranks[k - 1] if k >= 1 else 0
-        in_rank = ranks[k] if k < len(boundaries) else 0
-        free = dim - out_rank - in_rank
-        tors = torsion[k] if k < len(boundaries) else ()
+        free = dim - (ranks[k - 1] if k else 0) - ranks[k]
         if free < 0:
             raise InputError("rank bookkeeping failed; input is not a chain complex")
-        groups[base_degree + k] = (free, tors)
+        groups[base_degree + k] = (free, torsion[k] if k < len(boundaries) else ())
     return GradedHomology.from_dict(coeff, groups)  # which drops the zero groups
 
 
@@ -234,32 +283,39 @@ def chain_homology(boundaries: list[IntegerMatrix], coeff: str = "Z") -> GradedH
                 "do not compose to zero"
             )
     dims = [boundaries[0].rows] + [mat.cols for mat in boundaries]
-    return _homology_from_boundaries(boundaries, dims, 0, coeff)
+    return _homology_from_boundaries([_columns(mat) for mat in boundaries], dims, 0, coeff)
 
 
-def boundary_matrices(K: SimplicialComplex) -> tuple[list[IntegerMatrix], list[int]]:
-    """Boundary maps of the empty-face-augmented chain complex of K.
-
-    Position k holds the faces with k vertices, so position 0 is the empty
-    face and the first boundary map is the augmentation.  Returns the maps
-    (position k+1 -> position k) and the chain group dimensions.
+def boundary_columns(K: SimplicialComplex) -> tuple[list[list[dict[int, int]]], list[int]]:
+    """Boundary maps of the empty-face-augmented chain complex of K, each a
+    list of {row: +-1} columns read off K's face listing, and the chain group
+    dimensions.  Position k holds the faces with k vertices, so the first map
+    (position 1 -> position 0) is the augmentation.
     """
     basis = list(K.faces_by_card().values())  # faces by vertex count 0, 1, ..., dim + 1
     index = K._face_index
-    dims = [len(lst) for lst in basis]
-    mats = []
-    for c in range(1, len(basis)):
-        rows = [[0] * dims[c] for _ in range(dims[c - 1])]
-        for col, mask in enumerate(basis[c]):
-            sign = 1
-            rem = mask
+    maps = []
+    for faces in basis[1:]:
+        cols = []
+        for mask in faces:
+            col, sign, rem = {}, 1, mask
             while rem:
                 low = rem & -rem
-                rows[index[mask & ~low]][col] = sign
+                col[index[mask ^ low]] = sign
                 sign = -sign
-                rem &= rem - 1
-        mats.append(IntegerMatrix(dims[c - 1], dims[c], tuple(map(tuple, rows))))
-    return mats, dims
+                rem ^= low
+            cols.append(col)
+        maps.append(cols)
+    return maps, [len(faces) for faces in basis]
+
+
+def _rows(cols: list[dict[int, int]], n: int) -> list[list[int]]:
+    """The n dense rows of a map given as sparse columns."""
+    rows = [[0] * len(cols) for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
 def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
@@ -269,8 +325,8 @@ def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
     isolated vertices has rank 1 in degree 0, and the empty complex (only
     the empty face) has rank 1 in degree -1.
     """
-    mats, dims = boundary_matrices(K)
-    return _homology_from_boundaries(mats, dims, -1, coeff)
+    maps, dims = boundary_columns(K)
+    return _homology_from_boundaries(maps, dims, -1, coeff)
 
 
 def homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:

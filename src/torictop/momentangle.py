@@ -15,15 +15,17 @@ minimal non-face hypergraph, so K_I is the join of its pieces on those
 components: each piece is reduced once, and the summands of a join are
 assembled from the pieces by the join Kuenneth formula.
 
-One walk, ``_subsets``, visits the subsets in (size, subset) order; the
-splitting keeps and sums the summands with nonzero homology, and the
-projection certificates read the same walk.
+One walk, ``_subsets``, visits the subsets in (size, subset) order and hands
+out each summand's homology on demand; the splitting keeps and sums the
+summands with nonzero homology, and the projection certificates read the
+same walk, computing only the homology a certificate looks at.
 No cell structure on Z_K itself is ever built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache, partial, reduce
 from itertools import combinations
 
 from ._record import _frozen
@@ -156,8 +158,9 @@ def _join_homology(A: GradedHomology, B: GradedHomology) -> GradedHomology:
 
 def _subsets(K: SimplicialComplex, coeff: str, sizes=None, cap: int | None = None):
     """Walk the nonempty subsets I with |I| in ``sizes`` (every size when
-    None) in (size, subset) order, yielding I, its mask and the reduced
-    homology of K_I.
+    None) in (size, subset) order, yielding I, its mask and a function that
+    computes the reduced homology of K_I, so that a reader pays only for the
+    homology it reads.
 
     The walk refuses to run past the cap (default 16 vertices with exact
     coefficients, 24 over a finite field) unless ``cap`` overrides it.  A
@@ -176,27 +179,23 @@ def _subsets(K: SimplicialComplex, coeff: str, sizes=None, cap: int | None = Non
     is_cone, factors = _summand_structure(K)
     empty = GradedHomology(coeff, ())
     unit = GradedHomology(coeff, ((-1, (1, ())),))  # the empty complex, unit of the join
-    pieces: dict[int, GradedHomology] = {}
 
+    @cache
     def piece(mask: int) -> GradedHomology:
-        if mask not in pieces:
-            pieces[mask] = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
-        return pieces[mask]
+        return reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+
+    def homology_of(subset: tuple[int, ...], mask: int) -> GradedHomology:
+        if is_cone(mask):
+            return empty
+        if len(factors) == 1:
+            return reduced_homology(full_subcomplex(K, subset), coeff)
+        return reduce(_join_homology, (piece(mask & V) for V in factors if mask & V), unit)
 
     bits = [1 << (v - 1) for v in vertices]
     for size in sizes:
         for subset, subset_bits in zip(combinations(vertices, size), combinations(bits, size)):
             mask = sum(subset_bits)
-            if is_cone(mask):
-                hom = empty
-            elif len(factors) == 1:
-                hom = reduced_homology(full_subcomplex(K, subset), coeff)
-            else:
-                hom = unit
-                for V in factors:
-                    if mask & V:
-                        hom = _join_homology(hom, piece(mask & V))
-            yield subset, mask, hom
+            yield subset, mask, partial(homology_of, subset, mask)
 
 
 def wedge_splitting(K: SimplicialComplex, coeff: str = "Z", size_filter: set[int] | None = None,
@@ -208,7 +207,8 @@ def wedge_splitting(K: SimplicialComplex, coeff: str = "Z", size_filter: set[int
     """
     summands: list[WedgeSummand] = []
     walked = 0
-    for walked, (subset, _, hom) in enumerate(_subsets(K, coeff, size_filter, cap), 1):
+    for walked, (subset, _, homology_of) in enumerate(_subsets(K, coeff, size_filter, cap), 1):
+        hom = homology_of()
         if not hom.is_trivial():
             summands.append(WedgeSummand(subset, hom))
     total = GradedHomology.direct_sum(coeff, ((deg + len(s.subset) + 1, rank, tors)

@@ -113,14 +113,15 @@ def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCerti
     "I is a face" is a lookup in K's face index.  Only the dimension
     certificate reads dim K_I, and only for |I| = i, that is |I| < p; for
     those sizes the walk keeps dim K_I, which is |I| - 1 on a face and the
-    largest dim K_{I-v} on a non-face.
+    largest dim K_{I-v} on a non-face.  Only the vanishing-range certificate
+    reads the homology of K_I, so it alone asks the walk for it.
     """
     from .momentangle import _subsets
     from .splitting import residue_class, vanishing_range_check
     faces = P.complex._face_index
     certs = []
     size, dims = 0, {0: -1}  # dim K_I for I of the current size while |I| < p
-    for subset, mask, hom in _subsets(P.complex, "Z", cap=cap):
+    for subset, mask, homology_of in _subsets(P.complex, "Z", cap=cap):
         if len(subset) != size:
             size, below, dims = len(subset), dims, {}
             i = residue_class(size, p)
@@ -140,7 +141,7 @@ def _certificates(P: PolytopeDual, p: int, cap: int | None) -> list[SummandCerti
                        "target_sphere": target_dim}
         else:
             # the degrees of the suspended summand that p-local homology sees
-            degrees = [deg + size + 2 for deg, (rank, tors) in hom.groups
+            degrees = [deg + size + 2 for deg, (rank, tors) in homology_of().groups
                        if rank > 0 or any(t % p == 0 for t in tors)]
             ok = not degrees or vanishing_range_check(degrees, target_dim, p)
             kind = CERT_VANISHING if ok else CERT_NONE

@@ -3,14 +3,17 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Fifteen exceptions are kept as differential oracles for the code that
+Sixteen exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
 eliminator in ``linalg``; ``reference_smith_normal_form``, an earlier
 Smith normal form, and ``column_first_smith_normal_form``, the previous
 one, which cleared the pivot column before the pivot row, for
-``homology.smith_normal_form``; ``face_ring_cohomology``, the library's
+``homology.smith_normal_form``; ``dense_boundary_matrices`` and
+``dense_smith_normal_form``, the dense Z path the sparse unit-pivot phase
+replaced, for ``homology.boundary_columns`` and ``smith_normal_form``;
+``face_ring_cohomology``, the library's
 previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
 ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the previous
 wedge splitting that builds and reduces every full subcomplex, for
@@ -34,6 +37,7 @@ for the closed form of ``projection.steenrod_hit_search``.
 by universal coefficients, so that the field kernel ``echelon`` is checked
 against the Smith form.  Besides the oracles it holds test inputs and
 probes: ``stellar_sphere`` builds polytopal spheres around a given complex,
+``stacked_sphere_facets`` the boundaries of stacked polytopes,
 and the ``face_listings`` fixture records each face listing the library
 makes.
 """
@@ -331,6 +335,104 @@ def column_first_smith_normal_form(A: IntegerMatrix) -> SNFResult:
             del row[pj]
     rest = merge_torsion(diag)
     return SNFResult((1,) * (len(diag) - len(rest)) + rest)
+
+
+# ---------------------------------------------------------------------------
+# The dense Z path the library used before its sparse unit-pivot phase: dense
+# augmented boundary matrices read off K's face listing, and the whole-row-
+# then-column Smith form on the whole matrix.  Together they are the oracle
+# of ``homology.boundary_columns`` and of the unit pivots of
+# ``homology.smith_normal_form``.
+
+
+def dense_boundary_matrices(K: SimplicialComplex) -> tuple[list[IntegerMatrix], list[int]]:
+    """Boundary maps of the empty-face-augmented chain complex of K as dense
+    matrices (position k + 1 -> position k), and the chain group dimensions."""
+    basis = list(K.faces_by_card().values())
+    index = K._face_index
+    dims = [len(lst) for lst in basis]
+    mats = []
+    for c in range(1, len(basis)):
+        rows = [[0] * dims[c] for _ in range(dims[c - 1])]
+        for col, mask in enumerate(basis[c]):
+            sign = 1
+            rem = mask
+            while rem:
+                low = rem & -rem
+                rows[index[mask & ~low]][col] = sign
+                sign = -sign
+                rem &= rem - 1
+        mats.append(IntegerMatrix(dims[c - 1], dims[c], tuple(map(tuple, rows))))
+    return mats, dims
+
+
+def dense_smith_normal_form(A: IntegerMatrix) -> SNFResult:
+    """Invariant factors: reduce the pivot's whole row, then its whole column,
+    re-pivot on the least remainder, and fix divisibility with ``merge_torsion``."""
+    M = [list(r) for r in A.entries]
+    diag: list[int] = []
+    while True:
+        best = 0
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
+        while True:
+            prow, piv = M[pi], M[pi][pj]
+            support = [row for row in M if row[pj]]
+            for j, v in enumerate(prow):
+                if v and j != pj:
+                    q = v // piv
+                    for row in support:
+                        row[j] -= q * row[pj]
+            nonzero = [j for j, v in enumerate(prow) if v and j != pj]
+            if nonzero:
+                pj = min(nonzero, key=lambda j: abs(prow[j]))
+                continue
+            nonzero = [i for i, row in enumerate(M) if row[pj] % piv]
+            if not nonzero:
+                break
+            for row in support:
+                row[pj] %= piv
+            prow[pj] = piv
+            pi = min(nonzero, key=lambda i: abs(M[i][pj]))
+        diag.append(abs(piv))
+        del M[pi]
+        for row in M:
+            del row[pj]
+    rest = merge_torsion(diag)
+    return SNFResult((1,) * (len(diag) - len(rest)) + rest)
+
+
+def dense_chain_homology(mats: list[IntegerMatrix], dims: list[int], base_degree: int = 0) -> GradedHomology:
+    """Integral homology of the chain complex of ``mats`` (C_{k+1} -> C_k, with
+    dim C_k = dims[k]) from the dense Smith form of each map."""
+    snfs = [dense_smith_normal_form(A) for A in mats] + [SNFResult(())]
+    groups = {base_degree + k: (dim - (snfs[k - 1].rank if k else 0) - snfs[k].rank, snfs[k].torsion)
+              for k, dim in enumerate(dims)}
+    return GradedHomology.from_dict("Z", groups)
+
+
+def dense_reduced_homology(K: SimplicialComplex) -> GradedHomology:
+    """Reduced integral homology of |K| by the dense path."""
+    return dense_chain_homology(*dense_boundary_matrices(K), -1)
+
+
+def stacked_sphere_facets(n: int, m: int, rng: random.Random) -> list[list[int]]:
+    """Facets of the boundary of a stacked n-polytope on m vertices: the
+    boundary of the n-simplex with ``rng``-chosen facets subdivided by the
+    vertices n + 2, ..., m in turn."""
+    facets = [frozenset(f) for f in itertools.combinations(range(1, n + 2), n)]
+    for v in range(n + 2, m + 1):
+        old = facets.pop(rng.randrange(len(facets)))
+        facets.extend((old - {u}) | {v} for u in sorted(old))
+    return sorted(sorted(f) for f in facets)
 
 
 # ---------------------------------------------------------------------------

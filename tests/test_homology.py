@@ -10,6 +10,9 @@ from conftest import (
     FIELD_TAGS,
     brute_reduced_betti,
     column_first_smith_normal_form,
+    dense_boundary_matrices,
+    dense_chain_homology,
+    dense_reduced_homology,
     dict_direct_sum,
     f2_rank,
     field_ranks,
@@ -20,6 +23,7 @@ from conftest import (
     random_complex_faces,
     reference_smith_normal_form,
     run_python,
+    stacked_sphere_facets,
     stellar_sphere,
 )
 from torictop import (
@@ -36,7 +40,7 @@ from torictop import (
 )
 from torictop import cli, fixtures, linalg
 from torictop.complexes import _vertices_of
-from torictop.homology import boundary_matrices, homology, merge_torsion
+from torictop.homology import boundary_columns, homology, merge_torsion
 
 RP2_FACES = [[1, 2, 3], [1, 3, 4], [1, 2, 6], [1, 4, 5], [1, 5, 6],
              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
@@ -131,11 +135,22 @@ def test_from_rows_refuses_entries_that_are_not_ints(bad):
 
 
 def assert_boundaries_compose_to_zero(K):
-    mats, dims = boundary_matrices(K)
-    assert [(d.rows, d.cols) for d in mats] == list(zip(dims, dims[1:]))
-    for a, b in zip(mats, mats[1:]):
-        prod = linalg.matmul_int(a.entries, b.entries, a.cols)
-        assert not any(any(row) for row in prod), K
+    # each column of d_{k+1} is sent to zero by d_k, column by column; and
+    # the columns are those of the dense oracle
+    maps, dims = boundary_columns(K)
+    assert [len(cols) for cols in maps] == dims[1:]
+    for cols, n in zip(maps, dims):
+        assert all(0 <= i < n and x in (1, -1) for col in cols for i, x in col.items()), K
+    for a, b in zip(maps, maps[1:]):
+        for col in b:
+            image = {}
+            for i, x in col.items():
+                for r, y in a[i].items():
+                    image[r] = image.get(r, 0) + x * y
+            assert not any(image.values()), K
+    mats, _ = dense_boundary_matrices(K)
+    assert [[{i: row[j] for i, row in enumerate(A.entries) if row[j]} for j in range(A.cols)]
+            for A in mats] == maps, K
 
 
 def test_library_boundaries_compose_to_zero():
@@ -252,6 +267,45 @@ def test_merge_torsion_matches_the_prime_power_regrouping(parts, data):
     parts = parts + data.draw(st.lists(st.sampled_from(parts), max_size=6))  # duplicates
     parts = data.draw(st.permutations(parts))
     assert merge_torsion(parts) == prime_power_merge_torsion(parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(small_orders, st.integers(1, 40)), min_size=1, max_size=5), st.data())
+def test_merge_torsion_of_repeated_orders_matches_the_prime_power_regrouping(runs, data):
+    # runs of equal orders, the case merge_torsion groups
+    parts = data.draw(st.permutations([d for d, n in runs for _ in range(n)]))
+    assert merge_torsion(parts) == prime_power_merge_torsion(parts)
+
+
+def test_merge_torsion_of_repeated_orders_matches_sympy():
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(25)
+    for _ in range(40):
+        orders = rng.sample((2, 3, 4, 5, 6, 8, 9, 12, 18, 30), rng.randint(1, 4))
+        parts = [d for d in orders for _ in range(rng.randint(1, 5))]
+        rng.shuffle(parts)
+        diag = [[d if i == j else 0 for j in range(len(parts))] for i, d in enumerate(parts)]
+        want = tuple(abs(int(d)) for d in sympy_snf(Matrix(diag), domain=ZZ).diagonal() if abs(d) > 1)
+        assert merge_torsion(parts) == want, parts
+
+
+def test_merge_torsion_of_thousands_of_copies_takes_linear_time():
+    # 5 000 copies of Z/2 once took 0.68 s, as every pair of orders was
+    # tested; in a child under a timeout, checked against the oracle here
+    cases = ([2] * 5000, [2] * 2500 + [4] * 2500, [2] * 2500 + [3] * 2500,
+             [6] * 2000 + [4] * 2000 + [9] * 1000 + [10] * 100)
+    proc = run_python(f"""
+import time
+from torictop.homology import merge_torsion
+t = time.perf_counter()
+got = [merge_torsion(parts) for parts in {cases!r}]
+assert time.perf_counter() - t < 0.5, time.perf_counter() - t
+print(got)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[prime_power_merge_torsion(parts) for parts in cases]}\n"
 
 
 def test_merge_torsion_matches_sympy_on_orders_above_two_to_the_sixty():
@@ -397,7 +451,7 @@ def test_snf_matches_the_previous_snf_and_sympy_on_every_full_subcomplex():
     distinct = {}
     for K in fixture_and_golden_complexes():
         for mask in range(1, 1 << K.m):
-            for A in boundary_matrices(full_subcomplex(K, _vertices_of(mask)))[0]:
+            for A in dense_boundary_matrices(full_subcomplex(K, _vertices_of(mask)))[0]:
                 if A.entries in distinct:
                     assert_snf_matches_the_oracles(A, with_sympy=False)
                 else:
@@ -521,6 +575,95 @@ def test_field_ranks_follow_from_z_on_stellar_spheres(spheres, data):
         groups = reduced_homology(K_I, "Z").as_dict()
         for coeff, p in FIELD_TAGS + (("F5", 5),):
             assert field_ranks(reduced_homology(K_I, coeff)) == field_ranks_from_z(groups, p), I
+
+
+# The unit-pivot phase of the Smith form against the dense Z path it
+# replaced (``conftest.dense_reduced_homology``): free ranks and torsion of
+# every degree, on spheres whose boundaries meet only unit pivots, on the
+# RP^2 summands whose leftover block carries the torsion, and on complexes
+# and chain complexes where pivots and leftover columns interleave.
+
+
+def assert_z_homology_matches_the_dense_oracle(K):
+    assert reduced_homology(K, "Z") == dense_reduced_homology(K), K.maximal_faces
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 4), extra=st.integers(0, 5),
+       data=st.data())
+def test_z_homology_matches_the_dense_oracle_on_stacked_spheres(rng, n, extra, data):
+    m = n + 1 + extra
+    K = validate_complex(stacked_sphere_facets(n, m, rng), m)
+    assert reduced_homology(K, "Z").as_dict() == {n - 1: (1, ())}
+    assert_z_homology_matches_the_dense_oracle(K)
+    for I in data.draw(st.lists(st.sets(st.integers(1, m), min_size=1), max_size=4)):
+        assert_z_homology_matches_the_dense_oracle(full_subcomplex(K, sorted(I)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stellar_spheres(), st.data())
+def test_z_homology_matches_the_dense_oracle_on_stellar_spheres(spheres, data):
+    L, K = spheres
+    drawn = data.draw(st.lists(st.sets(st.integers(1, K.m), min_size=1), max_size=3))
+    for I in [set(range(1, L.m + 1)), set(range(L.m + 1, K.m + 1)), *drawn]:
+        if I:
+            assert_z_homology_matches_the_dense_oracle(full_subcomplex(K, sorted(I)))
+
+
+def test_z_homology_of_the_rp2_summand_needs_its_leftover_block():
+    # the one torsion the ladders meet: RP^2 inside the torsion sphere
+    L = validate_complex(RP2_FACES, 6)
+    m, facets = stellar_sphere(RP2_FACES, 6)
+    K = validate_complex(facets, m)
+    for I in (range(1, 7), range(7, m + 1)):
+        assert reduced_homology(full_subcomplex(K, I), "Z").as_dict() == {1: (0, (2,))}
+    assert reduced_homology(L, "Z") == dense_reduced_homology(L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), m=st.integers(1, 8))
+def test_z_homology_matches_the_dense_oracle_on_random_complexes(rng, m):
+    # faces of 1 to 5 vertices, so the maps mix columns of every length
+    assert_z_homology_matches_the_dense_oracle(
+        validate_complex(random_complex_faces(rng, m, rng.randint(1, 8), 5), m))
+
+
+def scrambled_chain_complex(rng: random.Random, rows: int, a: int, b: int, cols: int):
+    """Dense maps d1: C_1 -> C_0 and d2: C_2 -> C_1 with d1 d2 = 0: d1 = [X | 0]
+    and d2 = [0 ; Y] on C_1 = Z^a + Z^b, then changed by random elementary
+    operations on C_0, C_1 (on d2's rows, inversely on d1's columns) and C_2."""
+    entry = (0, 0, 1, -1, 2, -2, 3, -3, 4, 6)
+    d1 = [[rng.choice(entry) if j < a else 0 for j in range(a + b)] for _ in range(rows)]
+    d2 = [[rng.choice(entry) if i >= a else 0 for _ in range(cols)] for i in range(a + b)]
+    for _ in range(3 * (rows + a + b + cols)):
+        c = rng.choice((1, -1, 2, -3))
+        where = rng.randrange(3)
+        if where == 0 and rows > 1:  # C_0: row i of d1 += c row j
+            i, j = rng.sample(range(rows), 2)
+            d1[i] = [x + c * y for x, y in zip(d1[i], d1[j])]
+        elif where == 1 and a + b > 1:  # C_1: P = I + c e_ij; d2 <- P d2, d1 <- d1 P^-1
+            i, j = rng.sample(range(a + b), 2)
+            d2[i] = [x + c * y for x, y in zip(d2[i], d2[j])]
+            for row in d1:
+                row[j] -= c * row[i]
+        elif where == 2 and cols > 1:  # C_2: column i of d2 += c column j
+            i, j = rng.sample(range(cols), 2)
+            for row in d2:
+                row[i] += c * row[j]
+    return d1, d2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False), rows=st.integers(1, 7), a=st.integers(0, 5),
+       b=st.integers(0, 5), cols=st.integers(1, 7))
+def test_chain_homology_over_z_matches_the_dense_oracle(rng, rows, a, b, cols):
+    if a + b == 0:
+        a = 1
+    d1, d2 = scrambled_chain_complex(rng, rows, a, b, cols)
+    mats = [IntegerMatrix.from_rows(d1, a + b), IntegerMatrix.from_rows(d2, cols)]
+    want = dense_chain_homology(mats, [rows, a + b, cols])
+    assert chain_homology(mats, "Z") == want, (d1, d2)
+    assert chain_homology(mats[:1], "Z") == dense_chain_homology(mats[:1], [rows, a + b]), d1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

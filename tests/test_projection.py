@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -205,15 +206,33 @@ def test_the_summand_scan_catches_a_dropped_summand(monkeypatch):
     walk = momentangle._subsets
 
     def drop_the_full_subset(K, *args, **kwargs):
-        for subset, mask, hom in walk(K, *args, **kwargs):
+        for subset, mask, homology_of in walk(K, *args, **kwargs):
             if len(subset) == K.m:
-                assert not hom.is_trivial()
-                hom = GradedHomology(hom.coeff, ())
-            yield subset, mask, hom
+                assert not homology_of().is_trivial()
+                homology_of = partial(GradedHomology, "Z", ())
+            yield subset, mask, homology_of
 
     P, lam = SQUARE
     monkeypatch.setattr(momentangle, "_subsets", drop_the_full_subset)
     assert report_bytes(P, lam, 3) != with_summand_scan(report_bytes, P, lam, 3)
+
+
+def test_certificates_compute_only_the_homology_they_read(monkeypatch):
+    # only the vanishing-range certificate reads the homology of K_I, so only
+    # its non-cone subsets are reduced; for p > m every non-face takes the
+    # dimension certificate and nothing is reduced
+    P, lam = polygon_polytope(8), CharacteristicMatrix.from_rows([[1, 0] * 4, [0, 1] * 4])
+    read = []
+    reduce = momentangle.reduced_homology
+    monkeypatch.setattr(momentangle, "reduced_homology",
+                        lambda K, coeff: read.append(K.labels) or reduce(K, coeff))
+    for p in (11, 3):
+        assert_matches_the_summand_scan(P, lam, p)
+        read.clear()
+        certs = projection_reports(P, lam, p)[1].summands
+        wanted = [c.subset for c in certs if "source_degrees" in c.details
+                  and not full_subcomplex(P.complex, c.subset).is_cone()]
+        assert read == wanted and bool(read) == (p == 3), p
 
 
 def test_squaring_kernel_cp2_inconclusive():
