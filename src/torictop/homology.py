@@ -5,14 +5,13 @@ listing.  Integral homology comes from its Smith form, which gives its rank
 and torsion; invariant factors are unique, so the pivot order does not
 matter.  The Smith form eliminates on +-1 pivots first (Dumas, Saunders and
 Villard, J. Symb. Comput. 32 (2001)), which leaves nothing on a sphere's
-boundaries, and runs its dense loop, which keeps dense entries small with no
-modulus, on what is left.  Every field takes its ranks from one sparse
-eliminator, ``linalg.echelon``, on dense rows built from the columns: over
-F_p on ints reduced mod p, and over Q on ints while its pivots are units.
-``merge_torsion`` owns invariant factors: it fixes the divisibility of the
-Smith form's diagonal and regroups the torsion of the direct sums that
-``GradedHomology.direct_sum`` builds, by gcds and lcms, so no integer is
-factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q' and 'F<p>'.
+boundaries, and runs its dense loop only on what is left.  Every field takes
+its ranks from one sparse eliminator, ``linalg.echelon``, on dense rows built
+from the columns.  ``merge_torsion`` owns invariant factors: it fixes the
+divisibility of the Smith form's diagonal and regroups the torsion of the
+direct sums that ``GradedHomology.direct_sum`` builds, by gcds and lcms, so
+no integer is factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q'
+and 'F<p>'.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from itertools import groupby
-from operator import itemgetter
+from collections import Counter
 
 from . import linalg
 from ._record import _frozen
@@ -95,17 +93,14 @@ def smith_normal_form(A: IntegerMatrix | list[dict[int, int]]) -> SNFResult:
         v = v.copy()
         while todo:
             r, s, p = pivots[todo.pop(0)]
-            f = v.get(r, 0) * s
-            if not f:  # a place inserted twice
-                continue
-            for i, y in p.items():
-                x = v.get(i, 0) - f * y
-                if not x:
-                    del v[i]
-                    continue
-                if i not in v and i in place:
-                    insort(todo, place[i])
-                v[i] = x
+            if f := v.get(r, 0) * s:  # 0 when a place was inserted twice
+                for i, y in p.items():
+                    if x := v.get(i, 0) - f * y:
+                        if i not in v and i in place:
+                            insort(todo, place[i])
+                        v[i] = x
+                    else:
+                        del v[i]
         return v
 
     left = []
@@ -161,28 +156,24 @@ def _columns(A: IntegerMatrix) -> list[dict[int, int]]:
 def merge_torsion(parts: list[int]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of cyclic groups Z/d, units and 0 dropped.
 
-    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so each order in sorted order
-    takes its gcd with every later one, which takes the lcm, and then divides
-    them all.  Equal orders form runs, and only a run's first member changes,
-    as the gcd left divides the rest.  So the cost is orders times runs, and
-    nothing is factored.
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so the least order takes its gcd
+    with one copy of each other order, which takes the lcm, and then divides
+    them all.  Equal orders are counted, not listed, so the cost is orders
+    times distinct orders, and nothing is factored.
     """
-    runs = [[d, len(list(same))] for d, same in groupby(sorted(abs(d) for d in parts if abs(d) > 1))]
+    count = Counter(abs(d) for d in parts if abs(d) > 1)
     out: list[int] = []
-    while runs:
-        a = runs[0][0]
-        runs[0][1] -= 1
-        merged = []
-        for b, n in runs:
-            if b % a:
+    while count:
+        a = min(count)
+        count[a] -= 1
+        for b, n in list(count.items()):
+            if n and b % a:
                 g = math.gcd(a, b)
-                merged += [(a // g * b, 1), (b, n - 1)]
+                count[b] -= 1
+                count[a // g * b] += 1
                 a = g
-            else:
-                merged.append((b, n))
-        merged = (run for run in merged if run[1])
-        runs = [[d, sum(n for _, n in same)] for d, same in groupby(merged, itemgetter(0))]
         out.append(a)
+        count = +count  # which drops the orders used up
     return tuple(d for d in out if d > 1)
 
 

@@ -13,8 +13,8 @@ one, which cleared the pivot column before the pivot row, for
 ``homology.smith_normal_form``; ``dense_boundary_matrices`` and
 ``dense_smith_normal_form``, the dense Z path the sparse unit-pivot phase
 replaced, for ``homology.boundary_columns`` and ``smith_normal_form``;
-``face_ring_cohomology``, the library's
-previous cohomology engine, for ``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
+``face_ring_cohomology``, the library's previous cohomology engine, for
+``cohomology_ring``; the integer adjugate ``unimodular_inverse`` for
 ``quasitoric.linear_forms``; ``per_subset_wedge_splitting``, the previous
 wedge splitting that builds and reduces every full subcomplex, for
 ``wedge_splitting``; ``summand_scan_certificates``, the previous
