@@ -1,17 +1,17 @@
-"""Exact simplicial homology via Smith normal form and rank computations.
+"""Exact simplicial homology via the Smith normal form.
 
 Each boundary map is built once, as sparse signed columns read off the face
-listing.  Integral homology comes from its Smith form, which gives its rank
-and torsion; invariant factors are unique, so the pivot order does not
+listing, and its Smith form serves every coefficient: over Z its rank and
+torsion, and by universal coefficients (Hatcher, *Algebraic Topology*, Thm
+3A.3) a rank over F_p counts the invariant factors p does not divide, over Q
+all of them.  Invariant factors are unique, so the pivot order does not
 matter.  The Smith form eliminates on +-1 pivots first (Dumas, Saunders and
 Villard, J. Symb. Comput. 32 (2001)), which leaves nothing on a sphere's
-boundaries, and runs its dense loop only on what is left.  Every field takes
-its ranks from one sparse eliminator, ``linalg.echelon``, on dense rows built
-from the columns.  ``merge_torsion`` owns invariant factors: it fixes the
-divisibility of the Smith form's diagonal and regroups the torsion of the
-direct sums that ``GradedHomology.direct_sum`` builds, by gcds and lcms, so
-no integer is factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q'
-and 'F<p>'.
+boundaries, and runs its dense loop only on what is left.  ``merge_torsion``
+owns invariant factors: it fixes the divisibility of the Smith form's
+diagonal and regroups the torsion of the direct sums that
+``GradedHomology.direct_sum`` builds, by gcds and lcms, so no integer is
+factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q' and 'F<p>'.
 
 Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
 int entries only, and ``chain_homology`` checks that the maps chain and that
@@ -234,14 +234,14 @@ def _homology_from_boundaries(boundaries: list[list[dict[int, int]]], dims: list
                               base_degree: int, coeff: str) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
     boundaries[k]: C_{k+1} -> C_k as sparse columns; degrees are shifted by
-    base_degree.  Z reads the Smith form, a field ``echelon`` on dense rows.
+    base_degree.  Every coefficient reads the Smith form of each map.
     Trusts the maps to chain and to compose to zero (see chain_homology)."""
     p = linalg.coeff_prime(coeff, allow_z=True)
+    snfs = [smith_normal_form(cols) for cols in boundaries]
     if p is None:
-        snfs = [smith_normal_form(cols) for cols in boundaries]
         ranks, torsion = [snf.rank for snf in snfs], [snf.torsion for snf in snfs]
-    else:  # a field, F_p or Q (p = 0), has no torsion
-        ranks = [len(linalg.echelon(_rows(cols, n), p)) for cols, n in zip(boundaries, dims)]
+    else:  # a field has no torsion; over F_p the factors p divides vanish, over Q (p = 0) none
+        ranks = [sum(1 for d in snf.diagonal if d % p) if p else snf.rank for snf in snfs]
         torsion = [()] * len(boundaries)
     ranks.append(0)  # out of the top degree
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -298,15 +298,6 @@ def boundary_columns(K: SimplicialComplex) -> tuple[list[list[dict[int, int]]], 
             cols.append(col)
         maps.append(cols)
     return maps, [len(faces) for faces in basis]
-
-
-def _rows(cols: list[dict[int, int]], n: int) -> list[list[int]]:
-    """The n dense rows of a map given as sparse columns."""
-    rows = [[0] * len(cols) for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
 
 
 def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:

@@ -2,10 +2,11 @@
 
 Everything here is deterministic and exact, with no floating point and no
 dependency outside the standard library.  Integer routines use Python's
-arbitrary-precision ints (Bareiss fraction-free elimination).  Every field,
-F_p or Q, goes through one sparse eliminator, ``echelon``, whose pivot rows
-give ranks, normal forms and kernels.  It works on ints: reduced mod p over
-F_p, exact for every prime, and over Q until a pivot is not a unit.
+arbitrary-precision ints (Bareiss fraction-free elimination).  Outside
+homology, which reads the Smith form, every field goes through one sparse
+eliminator, ``echelon``, whose pivot rows give ranks, normal forms and
+kernels.  It works on ints: reduced mod p over F_p, exact for every prime,
+and over Q until a pivot is not a unit.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
 
 def rank_int(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over Q, by fraction-free elimination.  Not
-    on the homology path: Z homology uses ``homology.smith_normal_form`` and
-    every field ``echelon``; the tests take it as an independent oracle."""
+    on the homology path: homology over every coefficient reads
+    ``homology.smith_normal_form``; the tests take it as an independent oracle."""
     return _bareiss(rows)[0]
 
 
@@ -122,7 +123,8 @@ def is_prime(n: int) -> bool:
 def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
     """Parse a coefficient tag: p for 'F<p>' and 0 for 'Q', the ``p`` of
     ``echelon``, and None for 'Z' where ``allow_z`` admits it.  'F<p>' is
-    refused unless p < PRIME_BOUND is prime.  The last 16 tags read are kept."""
+    refused unless it reads f"F{p}" for a prime p < PRIME_BOUND, so that a
+    field has one tag.  The last 16 tags read are kept."""
     if coeff == "Q":
         return 0
     if coeff == "Z" and allow_z:
@@ -139,6 +141,8 @@ def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
             f"coefficient tag {coeff!r}: F<p> needs p < {PRIME_BOUND}, "
             "below which primality is decided exactly"
         )
+    if coeff != f"F{p}":  # 'F02', or digits int() reads that are not ASCII: 'F٣'
+        raise InputError(f"coefficient tag {coeff!r} is not canonical; write 'F{p}'")
     if not is_prime(p):
         raise InputError(f"coefficient tag {coeff!r} does not name a prime")
     return p

@@ -3,7 +3,7 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Sixteen exceptions are kept as differential oracles for the code that
+Seventeen exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
@@ -29,13 +29,18 @@ certificate, for ``splitting.vanishing_range_check``;
 for ``complexes._maximal``; ``dict_direct_sum`` and
 ``dict_join_homology``, the dict accumulations of the wedge total and of
 the join Kuenneth sum, for ``GradedHomology.direct_sum``;
+``echelon_reduced_homology`` and ``echelon_chain_homology``, the field path
+that ranked dense rows by ``linalg.echelon``, for the field ranks that
+``homology`` reads off the Smith form;
 ``prime_power_merge_torsion``, the previous ``merge_torsion``, which
 regroups prime powers found by trial division, for ``merge_torsion``;
 and ``steenrod_hit_loop``, the candidate walk of the mod-2 hit search,
 for the closed form of ``projection.steenrod_hit_search``.
+``cellular_moment_angle_homology`` computes the homology of Z_K from its
+cellular chain complex, with no wedge splitting, for ``wedge_splitting``.
 ``field_ranks_from_z`` derives field Betti numbers from integral homology
-by universal coefficients, so that the field kernel ``echelon`` is checked
-against the Smith form.  Besides the oracles it holds test inputs and
+by universal coefficients, degree by degree, where the library applies them
+map by map.  Besides the oracles it holds test inputs and
 probes: ``stellar_sphere`` builds polytopal spheres around a given complex,
 ``stacked_sphere_facets`` the boundaries of stacked polytopes,
 and the ``face_listings`` fixture records each face listing the library
@@ -81,6 +86,7 @@ from torictop.homology import (
     GradedHomology,
     IntegerMatrix,
     SNFResult,
+    boundary_columns,
     merge_torsion,
     reduced_homology,
 )
@@ -422,6 +428,99 @@ def dense_chain_homology(mats: list[IntegerMatrix], dims: list[int], base_degree
 def dense_reduced_homology(K: SimplicialComplex) -> GradedHomology:
     """Reduced integral homology of |K| by the dense path."""
     return dense_chain_homology(*dense_boundary_matrices(K), -1)
+
+
+# ---------------------------------------------------------------------------
+# The field path the library used before every coefficient read the Smith
+# form: dense rows rebuilt from ``homology.boundary_columns``, each map ranked
+# by ``linalg.echelon``.  It is the oracle of the universal-coefficient ranks
+# that ``reduced_homology`` and ``chain_homology`` read off the Smith form.
+
+
+def echelon_chain_homology(mats: list[list[list[int]]], dims: list[int], base_degree: int,
+                           coeff: str) -> GradedHomology:
+    """Homology over the field ``coeff`` of the chain complex of the dense maps
+    ``mats`` (C_{k+1} -> C_k, with dim C_k = dims[k]), each map's rank the
+    number of ``linalg.echelon`` pivots of its rows."""
+    p = linalg.coeff_prime(coeff)
+    ranks = [len(linalg.echelon(rows, p)) for rows in mats] + [0]
+    groups = {base_degree + k: (dim - (ranks[k - 1] if k else 0) - ranks[k], ())
+              for k, dim in enumerate(dims)}
+    return GradedHomology.from_dict(coeff, groups)
+
+
+def dense_rows(cols: list[dict[int, int]], n: int) -> list[list[int]]:
+    """The n dense rows of a map given as sparse columns."""
+    rows = [[0] * len(cols) for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def echelon_reduced_homology(K: SimplicialComplex, coeff: str) -> GradedHomology:
+    """Reduced homology of |K| over a field by the echelon path."""
+    maps, dims = boundary_columns(K)
+    return echelon_chain_homology([dense_rows(cols, n) for cols, n in zip(maps, dims)], dims, -1,
+                                  coeff)
+
+
+# ---------------------------------------------------------------------------
+# The cellular chain complex of Z_K, the oracle of the wedge splitting, its
+# degree shift |I| + 1, the join Kuenneth formula and the cone skip.  Z_K is
+# the union of (D^2)^sigma x (S^1)^([m] - sigma) over the faces sigma of K.
+# With D^2 = e0 u e1 u e2 and d e2 = e1, its cells are the pairs (sigma,
+# omega) of a face and a vertex set disjoint from it, in dimension
+# 2|sigma| + |omega|, and d(sigma, omega) is the sum over i in sigma of
+# +-(sigma - i, omega + i), with the Koszul sign of the cells before i: 2 for
+# each vertex of sigma, 1 for each vertex of omega (Buchstaber and Panov,
+# Toric Topology, ch. 4).  The boundary keeps sigma u omega, so the complex is
+# the direct sum of its blocks, one for each vertex set I = sigma u omega;
+# each block is reduced on its own, in the true cell dimensions, and no
+# homology of a full subcomplex is read.
+
+
+def cellular_blocks(K: SimplicialComplex):
+    """The blocks of the cellular chain complex of Z_K, one for each vertex set
+    I: |I|, the counts of the cells (sigma, I - sigma) by |sigma|, and the
+    boundary maps from |sigma| = c to c - 1 as dense rows."""
+    faces = [frozenset(f) for f in powerset_faces(K.maximal_faces)]
+    for size in range(K.m + 1):
+        for I in map(frozenset, itertools.combinations(range(1, K.m + 1), size)):
+            cells: dict[int, list[frozenset]] = {}
+            for sigma in faces:
+                if sigma <= I:
+                    cells.setdefault(len(sigma), []).append(sigma)
+            index = {sigma: j for block in cells.values() for j, sigma in enumerate(block)}
+            maps = []
+            for c in range(1, len(cells)):
+                rows = [[0] * len(cells[c]) for _ in cells[c - 1]]
+                for j, sigma in enumerate(cells[c]):
+                    for i in sigma:
+                        before = sum(1 for k in I - sigma if k < i)  # the odd cells before i
+                        rows[index[sigma - {i}]][j] = -1 if before % 2 else 1
+                maps.append(rows)
+            yield size, [len(cells[c]) for c in range(len(cells))], maps
+
+
+def cellular_moment_angle_homology(K: SimplicialComplex, coeff: str) -> GradedHomology:
+    """Unreduced homology of Z_K from its cellular chain complex: over Z by
+    ``dense_smith_normal_form``, over F_p by ``mod_p_rank``."""
+    p = None if coeff == "Z" else int(coeff[1:])
+    terms = []
+    for size, dims, maps in cellular_blocks(K):
+        if p is None:
+            snfs = [dense_smith_normal_form(IntegerMatrix(len(rows), len(rows[0]),
+                                                          tuple(map(tuple, rows))))
+                    for rows in maps]
+            ranks, torsion = [s.rank for s in snfs], [s.torsion for s in snfs]
+        else:
+            ranks, torsion = [mod_p_rank(rows, p) for rows in maps], [()] * len(maps)
+        ranks.append(0)
+        torsion.append(())
+        for c, dim in enumerate(dims):  # a cell (sigma, I - sigma) has dimension |sigma| + |I|
+            terms.append((c + size, dim - (ranks[c - 1] if c else 0) - ranks[c], torsion[c]))
+    return dict_direct_sum(coeff, terms)
 
 
 def stacked_sphere_facets(n: int, m: int, rng: random.Random) -> list[list[int]]:
@@ -933,13 +1032,16 @@ def per_subset_wedge_splitting(
     coeff: str = "Z",
     size_filter: set[int] | None = None,
     cap: int | None = None,
+    homology=reduced_homology,
 ) -> WedgeSplitting:
     """Enumerate the wedge summands of the suspended moment-angle complex.
 
     ``size_filter`` restricts to subsets I with |I| in the given set.  The
     enumeration refuses to run past the cap (default 16 vertices with exact
     coefficients, 24 over a finite field) unless ``cap`` overrides it.
-    Summands with vanishing homology are only counted.
+    Summands with vanishing homology are only counted.  ``homology(K_I,
+    coeff)`` reduces each full subcomplex: the library's by default, or an
+    oracle such as ``echelon_reduced_homology``.
     """
     limit = _cap_for(coeff, cap)
     if K.m > limit:
@@ -958,7 +1060,7 @@ def per_subset_wedge_splitting(
         size = mask.bit_count()
         if size_filter is not None and size not in size_filter:
             continue
-        hom = reduced_homology(full_subcomplex(K, _vertices_of(mask)), coeff)
+        hom = homology(full_subcomplex(K, _vertices_of(mask)), coeff)
         if hom.is_trivial():
             trivial += 1
             continue

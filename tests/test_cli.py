@@ -384,6 +384,14 @@ def test_exit_code_2_on_missing_fixture(capsys):
         ("zk", "polygon5", "F1"),
         ("qtm", "cp2", "F" + "7" * 5000),  # more digits than int() parses
         ("zk", "polygon5", "F" + "7" * 5000),
+        # a field has one tag: no leading zero, and ASCII digits only (Arabic-Indic
+        # and fullwidth digits pass str.isdecimal and int())
+        ("qtm", "cp2", "F02"),
+        ("qtm", "cp2", "F\u0663"),
+        ("qtm", "cp2", "F\uff12"),
+        ("zk", "polygon5", "F02"),
+        ("zk", "polygon5", "F\u0663"),
+        ("zk", "polygon5", "F\uff12"),
     ],
     ids=lambda x: x if len(x) < 20 else "F<5000 digits>",
 )

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -14,9 +14,9 @@ from conftest import (
     dense_chain_homology,
     dense_reduced_homology,
     dict_direct_sum,
+    echelon_chain_homology,
+    echelon_reduced_homology,
     f2_rank,
-    field_ranks,
-    field_ranks_from_z,
     fraction_rank,
     mod_p_rank,
     prime_power_merge_torsion,
@@ -32,6 +32,7 @@ from torictop import (
     IntegerMatrix,
     chain_homology,
     full_subcomplex,
+    join,
     polygon_boundary,
     reduced_homology,
     simplex_boundary,
@@ -232,6 +233,9 @@ def test_universal_coefficients_mod2():
                 + sum(1 for t in hz.torsion(d - 1) if t % 2 == 0)
             )
             assert h2.rank(d) == expect, (K.maximal_faces, d)
+        # the homology-level identity above reads the Smith form twice; xor-ed bit rows do not
+        assert {d: r for d, (r, _) in h2.as_dict().items()} == brute_reduced_betti(
+            K.maximal_faces, f2_rank)
 
 
 def test_euler_characteristic_every_coefficient():
@@ -480,34 +484,36 @@ assert d == (2, 4 * (2**61 - 1)), d
     assert proc.returncode == 0, proc.stderr
 
 
-def test_field_homology_never_runs_the_smith_form(monkeypatch, capsys):
-    # every field takes its ranks from echelon, so with the Smith form refused
-    # Q and F_p homology still run, and follow from the groups over Z
-    complexes = fixture_and_golden_complexes()
-    over_z = [reduced_homology(K, "Z").as_dict() for K in complexes]
+def test_field_homology_never_runs_echelon(monkeypatch, capsys):
+    # every coefficient reads the Smith form, so with echelon refused Q and
+    # F_p homology still run, and agree with the echelon path run beforehand
+    want = [(K, coeff, echelon_reduced_homology(K, coeff))
+            for K in fixture_and_golden_complexes() for coeff, _ in FIELD_TAGS]
     assert cli.main(["zk", "--fixture", "polygon6", "--coeff", "Z"]) == 0
     totals = {"Z": json.loads(capsys.readouterr().out)["results"]["total"]}
 
-    def refuse(A):
-        raise AssertionError("field homology ran the Smith form")
+    def refuse(rows, p):
+        raise AssertionError("field homology ran echelon")
 
-    monkeypatch.setattr("torictop.homology.smith_normal_form", refuse)
-    for K, groups in zip(complexes, over_z):
-        for coeff, p in FIELD_TAGS:
-            assert field_ranks(reduced_homology(K, coeff)) == field_ranks_from_z(groups, p), K
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    for K, coeff, h in want:
+        assert reduced_homology(K, coeff) == h, (K.maximal_faces, coeff)
     assert cli.main(["zk", "--fixture", "polygon6", "--coeff", "Q"]) == 0
     totals["Q"] = json.loads(capsys.readouterr().out)["results"]["total"]
     assert [[(g["degree"], g["rank"]) for g in totals[c]] for c in ("Z", "Q")] == [
         [(3, 9), (4, 16), (5, 9), (8, 1)]] * 2
-    # Z/2 in degree 0 over Z, nothing over Q
+    # Z/2 in degree 0 over Z, nothing over Q, and F2 in degrees 0 and 1 over F2
     assert chain_homology([IntegerMatrix.from_rows([[2]])], "Q").is_trivial()
+    assert chain_homology([IntegerMatrix.from_rows([[2]])], "F2").as_dict() == {
+        0: (1, ()), 1: (1, ())}
     d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
     assert chain_homology([d1], "Q").as_dict() == {0: (1, ()), 1: (1, ())}
 
 
-def test_dense_rational_chain_homology_takes_its_rank_from_echelon():
-    # a field never runs the Smith form, which on this 50 x 50 matrix once
-    # ran for more than a minute
+def test_dense_chain_homology_over_a_field_takes_its_rank_from_the_smith_form():
+    # the Smith form of this 50 x 50 matrix once ran for more than a minute;
+    # each field's rank is the count of its invariant factors the prime does
+    # not divide
     proc = run_python("""
 import random
 from torictop import linalg
@@ -516,6 +522,9 @@ rng = random.Random(5)
 M = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in (40, 40, 50)][2]
 assert chain_homology([IntegerMatrix.from_rows(M)], "Q").as_dict() == {}
 assert linalg.rank_mod_p(M, 0) == linalg.rank_int(M) == 50
+for p in (2, 3):
+    h = chain_homology([IntegerMatrix.from_rows(M)], f"F{p}")
+    assert h.rank(0) == h.rank(1) == 50 - linalg.rank_mod_p(M, p), (p, h)
 """, timeout=30)
     assert proc.returncode == 0, proc.stderr
 
@@ -559,22 +568,75 @@ def stellar_spheres(draw):
     return validate_complex(l_facets, k), validate_complex(facets, m)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(stellar_spheres(), st.data())
-def test_field_ranks_follow_from_z_on_stellar_spheres(spheres, data):
-    # full subcomplexes only, never a whole splitting: L, its complement and a
-    # few drawn subsets, whose field ranks must follow from the groups over Z
-    L, K = spheres
-    k = L.m
-    assert full_subcomplex(K, range(1, k + 1)) == L
-    drawn = data.draw(st.lists(st.sets(st.integers(1, K.m), min_size=1), max_size=3))
-    for I in [set(range(1, k + 1)), set(range(k + 1, K.m + 1)), *drawn]:
-        if not I:  # L is the boundary of the simplex, so nothing was subdivided
-            continue
-        K_I = full_subcomplex(K, sorted(I))
-        groups = reduced_homology(K_I, "Z").as_dict()
-        for coeff, p in FIELD_TAGS + (("F5", 5),):
-            assert field_ranks(reduced_homology(K_I, coeff)) == field_ranks_from_z(groups, p), I
+# Field homology against the echelon path it replaced
+# (``conftest.echelon_reduced_homology``): each rank over F_p is the count of
+# the invariant factors p does not divide, over Q the count of all of them.
+# The draws cover RP^2 (Z/2), and chain maps U D V carrying Z/3 and Z/9,
+# which no complex on few vertices has.
+
+
+def unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """An n x n integer matrix of determinant +-1: row operations on the identity."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1, 2, -2))
+        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    return U
+
+
+@st.composite
+def torsion_maps(draw):
+    """U D V, with U and V unimodular and D diagonal with entries among 0, 1,
+    2, 3, 6 and 9, so that its cokernel carries Z/2, Z/3, Z/6 and Z/9."""
+    orders = draw(st.lists(st.sampled_from((0, 1, 2, 3, 6, 9)), min_size=1, max_size=5))
+    rows, cols = (len(orders) + draw(st.integers(0, 2)) for _ in range(2))
+    D = [[orders[i] if i == j and i < len(orders) else 0 for j in range(cols)] for i in range(rows)]
+    rng = draw(st.randoms(use_true_random=False))
+    U, V = unimodular(rng, rows), unimodular(rng, cols)
+    return IntegerMatrix.from_rows(linalg.matmul_int(linalg.matmul_int(U, D, rows), V, cols))
+
+
+@st.composite
+def field_homology_cases(draw):
+    """One-map chain complexes (``torsion_maps``), or a complex K and a few
+    of its full subcomplexes, with K a stacked sphere, a stellar sphere
+    around a random complex or RP^2 (with that complex and its complement),
+    a random complex with ghost vertices and facets of mixed sizes, or a
+    join."""
+    source = draw(st.sampled_from(("stacked", "stellar", "random", "join", "maps")))
+    if source == "maps":
+        return draw(st.lists(torsion_maps(), min_size=1, max_size=3))
+    subsets = []
+    if source == "stacked":
+        n = draw(st.integers(2, 4))
+        m = n + 1 + draw(st.integers(0, 5))
+        K = validate_complex(stacked_sphere_facets(n, m, draw(st.randoms(use_true_random=False))), m)
+    elif source == "stellar":
+        L, K = draw(stellar_spheres())
+        subsets = [set(range(1, L.m + 1)), set(range(L.m + 1, K.m + 1))]
+    elif source == "random":
+        K = draw(complexes())
+    else:
+        pieces = st.one_of(st.just(validate_complex(RP2_FACES, 6)), complexes())
+        K = join(draw(pieces), draw(pieces))
+    subsets += draw(st.lists(st.sets(st.integers(1, K.m), min_size=1), max_size=2))
+    return [K] + [full_subcomplex(K, sorted(I)) for I in subsets if I]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(field_homology_cases(), st.sampled_from(("F2", "F3", "F5", "Q")))
+@example([validate_complex(RP2_FACES, 6)], "F2")
+@example([IntegerMatrix.from_rows([[3, 0], [0, 9]])], "F3")
+def test_field_homology_matches_the_echelon_oracle(cases, coeff):
+    for case in cases:
+        if isinstance(case, IntegerMatrix):
+            want = echelon_chain_homology([list(map(list, case.entries))], [case.rows, case.cols],
+                                          0, coeff)
+            assert chain_homology([case], coeff) == want, case.entries
+        else:
+            assert reduced_homology(case, coeff) == echelon_reduced_homology(case, coeff), (
+                case.maximal_faces)
 
 
 # The unit-pivot phase of the Smith form against the dense Z path it
@@ -604,6 +666,7 @@ def test_z_homology_matches_the_dense_oracle_on_stacked_spheres(rng, n, extra, d
 @given(stellar_spheres(), st.data())
 def test_z_homology_matches_the_dense_oracle_on_stellar_spheres(spheres, data):
     L, K = spheres
+    assert full_subcomplex(K, range(1, L.m + 1)) == L
     drawn = data.draw(st.lists(st.sets(st.integers(1, K.m), min_size=1), max_size=3))
     for I in [set(range(1, L.m + 1)), set(range(L.m + 1, K.m + 1)), *drawn]:
         if I:

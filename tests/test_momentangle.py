@@ -3,14 +3,17 @@ import json
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     FIELD_TAGS,
     brute_reduced_betti,
+    cellular_blocks,
+    cellular_moment_angle_homology,
     dict_direct_sum,
     dict_join_homology,
+    echelon_reduced_homology,
     field_ranks,
     field_ranks_from_z,
     graded_tensor_unreduced,
@@ -35,6 +38,7 @@ from torictop import (
     wedge_splitting,
 )
 from torictop.complexes import PolytopeDual, _vertices_of, f_vector
+from torictop.linalg import matmul_int
 from torictop.momentangle import _join_homology, _subsets, _summand_structure
 from test_golden import COMPLEXES, INPUTS
 
@@ -297,14 +301,12 @@ def test_the_torsion_sphere_has_2_torsion_over_z(torsion_sphere):
 @pytest.mark.parametrize("coeff, want", [("F2", {8: 1816, 9: 314}), ("F3", {8: 1815, 9: 313}),
                                          ("Q", {8: 1815, 9: 313})])
 def test_the_torsion_sphere_over_a_field_follows_universal_coefficients(torsion_sphere, coeff, want):
-    # summand by summand; over Q the Z/2 at I = 1..6 vanishes, and so does
-    # the one at its complement
+    # summand by summand against the echelon path; over Q the Z/2 at I = 1..6
+    # vanishes, and so does the one at its complement
     K, over_z = torsion_sphere
     p = dict(FIELD_TAGS)[coeff]
     sp = wedge_splitting(K, coeff, size_filter={6})
-    expected = {s.subset: field_ranks_from_z(s.homology.as_dict(), p) for s in over_z.summands}
-    got = {s.subset: field_ranks(s.homology) for s in sp.summands}
-    assert got == {I: r for I, r in expected.items() if r}
+    assert sp == per_subset_wedge_splitting(K, coeff, {6}, homology=echelon_reduced_homology)
     assert field_ranks(sp.total) == field_ranks_from_z(over_z.total.as_dict(), p)
     assert {d: sp.total.rank(d) for d in want} == want
     for I in (range(1, 7), range(7, 17)):
@@ -312,6 +314,7 @@ def test_the_torsion_sphere_over_a_field_follows_universal_coefficients(torsion_
         groups = reduced_homology(K_I, "Z").as_dict()
         assert groups == {1: (0, (2,))}
         assert field_ranks(reduced_homology(K_I, coeff)) == field_ranks_from_z(groups, p)
+        assert reduced_homology(K_I, coeff) == echelon_reduced_homology(K_I, coeff)
 
 
 def complex_named(name):
@@ -324,13 +327,16 @@ def complex_named(name):
 @pytest.mark.parametrize("name", fixtures.names() + list(COMPLEXES))
 def test_field_summands_follow_from_the_integral_ones(name):
     # summand by summand: Q keeps the free rank over Z, and F_p adds the
-    # invariant factors divisible by p in the degree and the one below
+    # invariant factors divisible by p in the degree and the one below; and
+    # the splitting is the one the echelon path gives
     K = complex_named(name)
     over_z = {s.subset: s.homology.as_dict() for s in wedge_splitting(K, "Z").summands}
     for coeff, p in FIELD_TAGS:
         want = {I: field_ranks_from_z(groups, p) for I, groups in over_z.items()}
-        got = {s.subset: field_ranks(s.homology) for s in wedge_splitting(K, coeff).summands}
-        assert got == {I: r for I, r in want.items() if r}, coeff
+        sp = wedge_splitting(K, coeff)
+        assert {s.subset: field_ranks(s.homology) for s in sp.summands} == {
+            I: r for I, r in want.items() if r}, coeff
+        assert sp == per_subset_wedge_splitting(K, coeff, homology=echelon_reduced_homology), coeff
 
 
 def test_join_kuenneth_keeps_the_tor_term():
@@ -387,3 +393,40 @@ def test_product_of_four_simplex_boundaries_over_z():
               for c in itertools.combinations(blocks, r)}
     assert {s.subset for s in sp.summands} == unions
     assert sp.trivial_count == 2**13 - 1 - 15
+
+
+# The wedge splitting against the cellular chain complex of Z_K itself
+# (``conftest.cellular_moment_angle_homology``), which reads no full
+# subcomplex's homology: so the splitting, its degree shift |I| + 1, the
+# join Kuenneth formula and the cone skip are all checked.  The Tor term of
+# a join needs torsion on both sides, and the least complex with torsion is
+# the 6-vertex RP^2, so RP^2 * RP^2 (m = 12) is an explicit example.
+
+
+@st.composite
+def cellular_oracle_complexes(draw):
+    """A complex on m <= 9 vertices with ghost vertices and facets of mixed
+    sizes, sometimes holding RP^2 on 1..6 for its 2-torsion."""
+    m = draw(st.integers(1, 9))
+    faces = draw(st.lists(st.lists(st.integers(1, m), min_size=1, max_size=4), max_size=6))
+    if m >= 6 and draw(st.booleans()):
+        faces += RP2_FACES
+    return validate_complex(faces, m)
+
+
+def test_the_cellular_boundary_squares_to_zero():
+    rp2 = validate_complex(RP2_FACES, 6)
+    for K in (rp2, join(rp2, validate_complex([[1], [2]], 2)), polygon_boundary(5),
+              validate_complex([[1, 2, 3], [3, 4], [5]], 6)):
+        for _, _, maps in cellular_blocks(K):
+            for d1, d2 in zip(maps, maps[1:]):
+                assert not any(any(row) for row in matmul_int(d1, d2, len(d2))), K.maximal_faces
+
+
+@SPLITTING_ORACLE_SETTINGS
+@given(cellular_oracle_complexes(), st.sampled_from(["Z", "F2", "F3"]))
+@example(join(validate_complex(RP2_FACES, 6), validate_complex(RP2_FACES, 6)), "Z")
+def test_wedge_splitting_matches_the_cellular_chain_complex(K, coeff):
+    total = wedge_splitting(K, coeff).total.as_dict()
+    assert 0 not in total  # Z_K is connected
+    assert cellular_moment_angle_homology(K, coeff).as_dict() == {0: (1, ()), **total}
