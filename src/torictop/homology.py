@@ -1,22 +1,27 @@
 """Exact simplicial homology via the Smith normal form.
 
-Each boundary map is built once, as sparse signed columns read off the face
-listing, and its Smith form serves every coefficient: over Z its rank and
-torsion, and by universal coefficients (Hatcher, *Algebraic Topology*, Thm
-3A.3) a rank over F_p counts the invariant factors p does not divide, over Q
-all of them.  Invariant factors are unique, so the pivot order does not
-matter.  The Smith form eliminates on +-1 pivots first (Dumas, Saunders and
-Villard, J. Symb. Comput. 32 (2001)), which leaves nothing on a sphere's
-boundaries, and runs its dense loop only on what is left.  ``merge_torsion``
-owns invariant factors: it fixes the divisibility of the Smith form's
-diagonal and regroups the torsion of the direct sums that
-``GradedHomology.direct_sum`` builds, by gcds and lcms, so no integer is
-factored.  ``linalg.coeff_prime`` parses the tags 'Z', 'Q' and 'F<p>'.
+Boundary maps are reduced from the top degree down, each built as sparse
+signed columns off the face listing once the map above it is reduced.  The
+Smith form of each serves every coefficient: over Z its rank and torsion,
+and by universal coefficients (Hatcher, *Algebraic Topology*, Thm 3A.3) a
+rank over F_p counts the invariant factors p does not divide, over Q all
+of them.  It eliminates on +-1 pivots first (Dumas, Saunders and Villard,
+J. Symb. Comput. 32 (2001)) and runs its dense loop only on what is left,
+which is nothing on a sphere's boundaries.  Clearing (Chen and Kerber,
+EuroCG 2011) leaves out the columns of d_k on the unit pivot rows P of
+d_{k+1}: those pivots are +-1-triangular on P, so modulo im d_{k+1}, which
+d_k kills, each e_p is an integer sum of the e_q off P, and d_k(e_p) lies
+in the span of the other columns.  The image lattice of d_k, and with it
+every invariant factor (unique, whatever the pivot order), is unchanged,
+and the chain groups keep the face counts as dimensions: d∘d = 0 decides
+the invariant factors, not only the rank bookkeeping.  ``merge_torsion``
+fixes the divisibility of the diagonal and regroups the torsion of
+``GradedHomology.direct_sum`` by gcds and lcms, factoring nothing.
+``linalg.coeff_prime`` parses the tags 'Z', 'Q' and 'F<p>'.
 
-Only boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes
-int entries only, and ``chain_homology`` checks that the maps chain and that
-d∘d = 0.  Those of ``boundary_columns`` go to the kernels unchecked; the
-test suite checks that they compose to zero.
+Boundaries from outside are checked: ``IntegerMatrix.from_rows`` takes int
+entries only, and ``chain_homology`` checks that the maps chain and that
+d∘d = 0.  Those of ``boundary_columns`` are not; the tests check them.
 """
 
 from __future__ import annotations
@@ -80,7 +85,11 @@ def smith_normal_form(A: IntegerMatrix | list[dict[int, int]]) -> SNFResult:
     passes keep dense entries small.  Then ``merge_torsion`` fixes
     divisibility once.
     """
-    cols = _columns(A) if isinstance(A, IntegerMatrix) else A
+    return _smith(_columns(A) if isinstance(A, IntegerMatrix) else A)[0]
+
+
+def _smith(cols: list[dict[int, int]]) -> tuple[SNFResult, dict[int, int]]:
+    """``smith_normal_form`` of sparse columns, and its unit pivots' rows as a dict's keys."""
     place: dict[int, int] = {}  # pivot row -> its pivot's place in ``pivots``
     pivots: list[tuple[int, int, dict[int, int]]] = []  # (row, +-1 there, column)
 
@@ -115,7 +124,7 @@ def smith_normal_form(A: IntegerMatrix | list[dict[int, int]]) -> SNFResult:
             if v:
                 left.append(v)
     if not left:
-        return SNFResult((1,) * len(pivots))
+        return SNFResult((1,) * len(pivots)), place
     left = [v for v in map(reduce, left) if v]
     M = [[v.get(i, 0) for v in left] for i in sorted({i for v in left for i in v})]
     diag: list[int] = []
@@ -146,7 +155,7 @@ def smith_normal_form(A: IntegerMatrix | list[dict[int, int]]) -> SNFResult:
         for row in M:
             del row[pj]
     rest = merge_torsion(diag)
-    return SNFResult((1,) * (len(pivots) + len(diag) - len(rest)) + rest)
+    return SNFResult((1,) * (len(pivots) + len(diag) - len(rest)) + rest), place
 
 
 def _columns(A: IntegerMatrix) -> list[dict[int, int]]:
@@ -230,26 +239,30 @@ class GradedHomology:
         ]
 
 
-def _homology_from_boundaries(boundaries: list[list[dict[int, int]]], dims: list[int],
-                              base_degree: int, coeff: str) -> GradedHomology:
+def _homology_from_boundaries(columns, dims: list[int], base_degree: int,
+                              coeff: str) -> GradedHomology:
     """Homology of a chain complex with C_k of dimension dims[k] and
-    boundaries[k]: C_{k+1} -> C_k as sparse columns; degrees are shifted by
-    base_degree.  Every coefficient reads the Smith form of each map.
-    Trusts the maps to chain and to compose to zero (see chain_homology)."""
+    ``columns(k, cleared)`` the boundary C_{k+1} -> C_k as sparse columns,
+    less those at the places in ``cleared``; degrees are shifted by
+    base_degree.  Reduces top-down with clearing, so it trusts the maps to
+    chain and to compose to zero (see chain_homology)."""
     p = linalg.coeff_prime(coeff, allow_z=True)
-    snfs = [smith_normal_form(cols) for cols in boundaries]
+    snfs, cleared = [], {}
+    for k in reversed(range(len(dims) - 1)):
+        snf, cleared = _smith(columns(k, cleared))
+        snfs.insert(0, snf)
     if p is None:
         ranks, torsion = [snf.rank for snf in snfs], [snf.torsion for snf in snfs]
     else:  # a field has no torsion; over F_p the factors p divides vanish, over Q (p = 0) none
         ranks = [sum(1 for d in snf.diagonal if d % p) if p else snf.rank for snf in snfs]
-        torsion = [()] * len(boundaries)
+        torsion = [()] * len(snfs)
     ranks.append(0)  # out of the top degree
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for k, dim in enumerate(dims):
         free = dim - (ranks[k - 1] if k else 0) - ranks[k]
         if free < 0:
             raise InputError("rank bookkeeping failed; input is not a chain complex")
-        groups[base_degree + k] = (free, torsion[k] if k < len(boundaries) else ())
+        groups[base_degree + k] = (free, torsion[k] if k < len(snfs) else ())
     return GradedHomology.from_dict(coeff, groups)  # which drops the zero groups
 
 
@@ -259,7 +272,7 @@ def chain_homology(boundaries: list[IntegerMatrix], coeff: str = "Z") -> GradedH
     ``boundaries[k]`` is the map C_{k+1} -> C_k, so the list [d_1, ..., d_N]
     describes a complex concentrated in degrees 0..N with dim C_0 the row
     count of d_1.  As the entry point for boundaries from outside, it checks
-    that consecutive maps chain and compose to zero.
+    that consecutive maps chain and compose to zero, which clearing needs.
     """
     if not boundaries:
         raise InputError("need at least one boundary matrix")
@@ -274,30 +287,30 @@ def chain_homology(boundaries: list[IntegerMatrix], coeff: str = "Z") -> GradedH
                 "do not compose to zero"
             )
     dims = [boundaries[0].rows] + [mat.cols for mat in boundaries]
-    return _homology_from_boundaries([_columns(mat) for mat in boundaries], dims, 0, coeff)
+    maps = [_columns(mat) for mat in boundaries]
+    return _homology_from_boundaries(
+        lambda k, cleared: [col for j, col in enumerate(maps[k]) if j not in cleared],
+        dims, 0, coeff)
 
 
-def boundary_columns(K: SimplicialComplex) -> tuple[list[list[dict[int, int]]], list[int]]:
-    """Boundary maps of the empty-face-augmented chain complex of K, each a
-    list of {row: +-1} columns read off K's face listing, and the chain group
-    dimensions.  Position k holds the faces with k vertices, so the first map
-    (position 1 -> position 0) is the augmentation.
+def boundary_columns(K: SimplicialComplex, k: int, cleared) -> list[dict[int, int]]:
+    """The boundary map of K's empty-face-augmented chain complex from the
+    faces with k + 1 vertices to those with k, as {row: +-1} columns read off
+    K's face listing, less the faces at the places in ``cleared``.  Rows and
+    columns are places in the listing, so d_0 is the augmentation.
     """
-    basis = list(K.faces_by_card().values())  # faces by vertex count 0, 1, ..., dim + 1
-    index = K._face_index
-    maps = []
-    for faces in basis[1:]:
-        cols = []
-        for mask in faces:
-            col, sign, rem = {}, 1, mask
-            while rem:
-                low = rem & -rem
-                col[index[mask ^ low]] = sign
-                sign = -sign
-                rem ^= low
-            cols.append(col)
-        maps.append(cols)
-    return maps, [len(faces) for faces in basis]
+    index, cols = K._face_index, []
+    for j, mask in enumerate(K.faces_by_card()[k + 1]):
+        if j in cleared:
+            continue
+        col, sign, rem = {}, 1, mask
+        while rem:
+            low = rem & -rem
+            col[index[mask ^ low]] = sign
+            sign = -sign
+            rem ^= low
+        cols.append(col)
+    return cols
 
 
 def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
@@ -305,10 +318,10 @@ def reduced_homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:
 
     The augmented complex makes the conventions uniform: a complex with two
     isolated vertices has rank 1 in degree 0, and the empty complex (only
-    the empty face) has rank 1 in degree -1.
+    the empty face) has rank 1 in degree -1.  A cleared face's column is never built.
     """
-    maps, dims = boundary_columns(K)
-    return _homology_from_boundaries(maps, dims, -1, coeff)
+    dims = list(K.face_counts().values())
+    return _homology_from_boundaries(lambda k, skip: boundary_columns(K, k, skip), dims, -1, coeff)
 
 
 def homology(K: SimplicialComplex, coeff: str = "Z") -> GradedHomology:

@@ -129,11 +129,15 @@ def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
         return 0
     if coeff == "Z" and allow_z:
         return None
-    if not (coeff.startswith("F") and coeff[1:].isdecimal()):
+    digits = coeff[1:]
+    if not (coeff.startswith("F") and digits.isdecimal()):
         tags = "'Z', 'Q' or 'F<p>'" if allow_z else "'Q' or 'F<p>'"
         raise InputError(f"unknown coefficient tag {coeff!r}; use {tags}")
+    if not digits.isascii() or len(digits) > 1 and digits[0] == "0":  # 'F02', 'F٣': before int()
+        raise InputError(f"coefficient tag {coeff!r} is not canonical; write p in ASCII "
+                         "digits with no leading zero")
     try:
-        p = int(coeff[1:])
+        p = int(digits)
     except ValueError:  # more digits than int() will parse
         p = PRIME_BOUND
     if p >= PRIME_BOUND:
@@ -141,8 +145,6 @@ def coeff_prime(coeff: str, allow_z: bool = False) -> int | None:
             f"coefficient tag {coeff!r}: F<p> needs p < {PRIME_BOUND}, "
             "below which primality is decided exactly"
         )
-    if coeff != f"F{p}":  # 'F02', or digits int() reads that are not ASCII: 'F٣'
-        raise InputError(f"coefficient tag {coeff!r} is not canonical; write 'F{p}'")
     if not is_prime(p):
         raise InputError(f"coefficient tag {coeff!r} does not name a prime")
     return p

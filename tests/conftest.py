@@ -3,7 +3,7 @@
 Everything here recomputes from scratch with the dumbest correct method:
 faces by powerset enumeration, ranks by Gaussian elimination over Fraction,
 F2 ranks by xor-ing bit rows.  Tests compare the library against these.
-Seventeen exceptions are kept as differential oracles for the code that
+Eighteen exceptions are kept as differential oracles for the code that
 replaced them: ``build_parser``, the argparse parser of the CLI, for the
 table-driven parser in ``torictop.cli``; the dense field kernel (``rref``,
 ``reduce_against``, ``kernel_basis`` and the field objects) for the sparse
@@ -32,6 +32,10 @@ the join Kuenneth sum, for ``GradedHomology.direct_sum``;
 ``echelon_reduced_homology`` and ``echelon_chain_homology``, the field path
 that ranked dense rows by ``linalg.echelon``, for the field ranks that
 ``homology`` reads off the Smith form;
+``all_columns_reduced_homology`` and ``all_columns_chain_homology``, which
+build every boundary map whole and reduce each on its own, for the
+top-down reduction with clearing of ``reduced_homology`` and
+``chain_homology``;
 ``prime_power_merge_torsion``, the previous ``merge_torsion``, which
 regroups prime powers found by trial division, for ``merge_torsion``;
 and ``steenrod_hit_loop``, the candidate walk of the mod-2 hit search,
@@ -86,9 +90,11 @@ from torictop.homology import (
     GradedHomology,
     IntegerMatrix,
     SNFResult,
+    _columns,
     boundary_columns,
     merge_torsion,
     reduced_homology,
+    smith_normal_form,
 )
 from torictop.momentangle import WedgeSplitting, WedgeSummand, _cap_for
 from torictop.projection import (
@@ -431,8 +437,48 @@ def dense_reduced_homology(K: SimplicialComplex) -> GradedHomology:
 
 
 # ---------------------------------------------------------------------------
+# The path the library used before clearing: every boundary map built whole,
+# from every face, and its Smith form taken on its own, in no order.  It is
+# the oracle of the top-down reduction in ``homology._homology_from_boundaries``,
+# which leaves out the columns of d_k on the unit pivot rows of d_{k+1}.
+
+
+def all_boundary_columns(K: SimplicialComplex) -> tuple[list[list[dict[int, int]]], list[int]]:
+    """Every boundary map of K's augmented chain complex, with no column left
+    out, and the chain group dimensions."""
+    dims = list(K.face_counts().values())
+    return [boundary_columns(K, k, ()) for k in range(len(dims) - 1)], dims
+
+
+def all_columns_homology(maps: list[list[dict[int, int]]], dims: list[int], base_degree: int,
+                         coeff: str) -> GradedHomology:
+    """Homology over ``coeff`` of the chain complex of the whole maps ``maps``
+    (C_{k+1} -> C_k as sparse columns, with dim C_k = dims[k]): over Z the
+    rank and torsion of each map's Smith form, over F_p the invariant factors
+    p does not divide, over Q all of them."""
+    p = linalg.coeff_prime(coeff, allow_z=True)
+    snfs = [smith_normal_form(cols) for cols in maps]
+    ranks = [sum(1 for d in snf.diagonal if not p or d % p) for snf in snfs] + [0]  # p: None or 0
+    groups = {base_degree + k: (dim - (ranks[k - 1] if k else 0) - ranks[k],
+                                snfs[k].torsion if p is None and k < len(snfs) else ())
+              for k, dim in enumerate(dims)}
+    return GradedHomology.from_dict(coeff, groups)
+
+
+def all_columns_reduced_homology(K: SimplicialComplex, coeff: str) -> GradedHomology:
+    """Reduced homology of |K| over ``coeff`` from every column of every map."""
+    return all_columns_homology(*all_boundary_columns(K), -1, coeff)
+
+
+def all_columns_chain_homology(mats: list[IntegerMatrix], coeff: str) -> GradedHomology:
+    """``chain_homology`` of the maps ``mats`` from every column of every map."""
+    dims = [mats[0].rows] + [A.cols for A in mats]
+    return all_columns_homology([_columns(A) for A in mats], dims, 0, coeff)
+
+
+# ---------------------------------------------------------------------------
 # The field path the library used before every coefficient read the Smith
-# form: dense rows rebuilt from ``homology.boundary_columns``, each map ranked
+# form: dense rows rebuilt from ``all_boundary_columns``, each map ranked
 # by ``linalg.echelon``.  It is the oracle of the universal-coefficient ranks
 # that ``reduced_homology`` and ``chain_homology`` read off the Smith form.
 
@@ -460,7 +506,7 @@ def dense_rows(cols: list[dict[int, int]], n: int) -> list[list[int]]:
 
 def echelon_reduced_homology(K: SimplicialComplex, coeff: str) -> GradedHomology:
     """Reduced homology of |K| over a field by the echelon path."""
-    maps, dims = boundary_columns(K)
+    maps, dims = all_boundary_columns(K)
     return echelon_chain_homology([dense_rows(cols, n) for cols, n in zip(maps, dims)], dims, -1,
                                   coeff)
 

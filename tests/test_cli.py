@@ -402,6 +402,13 @@ def test_exit_code_2_on_bad_coefficient_tag(command, fixture, tag):
     assert "input error: " in proc.stderr and repr(tag) in proc.stderr
 
 
+def test_a_prime_padded_with_zeros_is_refused_as_not_canonical():
+    # 5000 digits are more than int() parses; the leading zero is found first
+    proc = run_subprocess("zk", "--fixture", "polygon5", "--coeff", "F" + "0" * 5000 + "7")
+    assert proc.returncode == 2, proc.stderr
+    assert "is not canonical" in proc.stderr and "needs p <" not in proc.stderr
+
+
 def polygon_input(tmp_path, m):
     path = tmp_path / f"polygon{m}.json"
     path.write_text(json.dumps({"m": m, "facets": [[i, i % m + 1] for i in range(1, m + 1)]}))

@@ -116,9 +116,13 @@ def golden_calls() -> list[list[str]]:
     calls += [["hvec", "--fixture", name] for name in names]
     calls += [["bott", "--input", name] for name in INPUTS if name.startswith("tower_")]
     calls += [["zk", "--input", name, "--coeff", c] for name in COMPLEXES for c in ZK_COEFFS]
-    # the summands with |I| = 6 only: the full run takes about a minute
+    # the summands with |I| = 6 and 10 only, which hold RP^2 on {1..6} and its
+    # complement on {7..16}, each with Z/2 in degree 1: the full run takes
+    # about 11 s over Z
     calls += [["zk", "--input", "torsion_sphere.json", "--coeff", c, "--sizes", "6"]
               for c in ZK_COEFFS]
+    calls += [["zk", "--input", "torsion_sphere.json", "--coeff", c, "--sizes", "10"]
+              for c in ("Z", "F2")]
     # towers through the cohomology engine: their bott reports are the qtm inputs
     calls += [["qtm", "--input", f"{t}.qtm", "--coeff", c] for t in TOWERS for c in ("Q", "F2", "F3")]
     calls += [["qtm", "--fixture", "cp2", "--coeff", c] for c in ("Z", "F4", "Fx")]

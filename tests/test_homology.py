@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIELD_TAGS,
+    all_boundary_columns,
+    all_columns_chain_homology,
+    all_columns_reduced_homology,
     brute_reduced_betti,
     column_first_smith_normal_form,
     dense_boundary_matrices,
@@ -136,9 +139,9 @@ def test_from_rows_refuses_entries_that_are_not_ints(bad):
 
 
 def assert_boundaries_compose_to_zero(K):
-    # each column of d_{k+1} is sent to zero by d_k, column by column; and
-    # the columns are those of the dense oracle
-    maps, dims = boundary_columns(K)
+    # each column of d_{k+1} is sent to zero by d_k, column by column, which
+    # clearing needs; and the columns are those of the dense oracle
+    maps, dims = all_boundary_columns(K)
     assert [len(cols) for cols in maps] == dims[1:]
     for cols, n in zip(maps, dims):
         assert all(0 <= i < n and x in (1, -1) for col in cols for i, x in col.items()), K
@@ -152,6 +155,9 @@ def assert_boundaries_compose_to_zero(K):
     mats, _ = dense_boundary_matrices(K)
     assert [[{i: row[j] for i, row in enumerate(A.entries) if row[j]} for j in range(A.cols)]
             for A in mats] == maps, K
+    for k, cols in enumerate(maps):  # a cleared face's column is left out, and only it
+        cleared = set(range(0, len(cols), 2))
+        assert boundary_columns(K, k, cleared) == cols[1::2], K
 
 
 def test_library_boundaries_compose_to_zero():
@@ -598,15 +604,15 @@ def torsion_maps(draw):
 
 
 @st.composite
-def field_homology_cases(draw):
-    """One-map chain complexes (``torsion_maps``), or a complex K and a few
-    of its full subcomplexes, with K a stacked sphere, a stellar sphere
-    around a random complex or RP^2 (with that complex and its complement),
-    a random complex with ghost vertices and facets of mixed sizes, or a
-    join."""
+def homology_cases(draw, chain_complexes):
+    """A few chain complexes drawn from ``chain_complexes``, or a complex K
+    and a few of its full subcomplexes, with K a stacked sphere, a stellar
+    sphere around a random complex or RP^2 (with that complex and its
+    complement), a random complex with ghost vertices and facets of mixed
+    sizes, or a join."""
     source = draw(st.sampled_from(("stacked", "stellar", "random", "join", "maps")))
     if source == "maps":
-        return draw(st.lists(torsion_maps(), min_size=1, max_size=3))
+        return draw(st.lists(chain_complexes, min_size=1, max_size=3))
     subsets = []
     if source == "stacked":
         n = draw(st.integers(2, 4))
@@ -625,7 +631,7 @@ def field_homology_cases(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(field_homology_cases(), st.sampled_from(("F2", "F3", "F5", "Q")))
+@given(homology_cases(torsion_maps()), st.sampled_from(("F2", "F3", "F5", "Q")))
 @example([validate_complex(RP2_FACES, 6)], "F2")
 @example([IntegerMatrix.from_rows([[3, 0], [0, 9]])], "F3")
 def test_field_homology_matches_the_echelon_oracle(cases, coeff):
@@ -727,6 +733,67 @@ def test_chain_homology_over_z_matches_the_dense_oracle(rng, rows, a, b, cols):
     want = dense_chain_homology(mats, [rows, a + b, cols])
     assert chain_homology(mats, "Z") == want, (d1, d2)
     assert chain_homology(mats[:1], "Z") == dense_chain_homology(mats[:1], [rows, a + b]), d1
+
+
+# Clearing against the all-columns path it replaced
+# (``conftest.all_columns_reduced_homology`` and ``all_columns_chain_homology``):
+# the maps are reduced from the top down and d_k is built without its columns
+# on d_{k+1}'s unit pivot rows, which must leave every invariant factor as it
+# was.  A one-map complex has nothing to clear, so the chain complexes drawn
+# here have two to four maps, with torsion in several degrees.
+
+
+@st.composite
+def scrambled_chain_maps(draw):
+    """Maps d_1, ..., d_N (N = 2..4, d_k: C_k -> C_{k-1}) that compose to
+    zero, and the homology over Z, F2, F3 and Q that they must have: a sum of
+    one free Z in each degree and pieces Z -n-> Z (n among 0, 1, 2, 3, 6, 9),
+    changed by random elementary operations on every C_k, on the rows of
+    d_{k+1} and, inversely, on the columns of d_k."""
+    rng = draw(st.randoms(use_true_random=False))
+    top = draw(st.integers(2, 4))
+    dims, pieces = [1] * (top + 1), []
+    for _ in range(rng.randint(1, 4 * top + 2)):
+        k, n = rng.randint(1, top), rng.choice((0, 1, 1, 2, 3, 6, 9))
+        pieces.append((k, dims[k - 1], dims[k], n))
+        dims[k - 1] += 1
+        dims[k] += 1
+    d = [None] + [[[0] * dims[k] for _ in range(dims[k - 1])] for k in range(1, top + 1)]
+    for k, i, j, n in pieces:
+        d[k][i][j] = n
+    for _ in range(sum(dims) // 2):  # more makes every column redundant, hiding a wrong clearing
+        k, c = rng.randrange(top + 1), rng.choice((1, -1, 2, -3))
+        if dims[k] > 1:
+            i, j = rng.sample(range(dims[k]), 2)
+            if k < top:  # P = I + c e_ij on C_k: d_{k+1} <- P d_{k+1}, d_k <- d_k P^-1
+                d[k + 1][i] = [x + c * y for x, y in zip(d[k + 1][i], d[k + 1][j])]
+            if k:
+                for row in d[k]:
+                    row[j] -= c * row[i]
+    want = {}
+    for coeff, p in (("Z", None), *FIELD_TAGS):
+        terms = [(k, 1, ()) for k in range(top + 1)]
+        for k, _, _, n in pieces:
+            if n == 0 or n > 1 and p and n % p == 0:  # Z/n is free in two degrees over F_p
+                terms += [(k, 1, ()), (k - 1, 1, ())]
+            elif n > 1 and p is None:
+                terms.append((k - 1, 0, (n,)))
+        want[coeff] = GradedHomology.direct_sum(coeff, terms)
+    return [IntegerMatrix.from_rows(d[k], dims[k]) for k in range(1, top + 1)], want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(homology_cases(scrambled_chain_maps()), st.sampled_from(("Z", "F2", "F3", "Q")))
+@example([validate_complex(RP2_FACES, 6)], "Z")
+def test_clearing_matches_the_all_columns_oracle(cases, coeff):
+    for case in cases:
+        if isinstance(case, tuple):
+            mats, want = case
+            assert chain_homology(mats, coeff) == all_columns_chain_homology(mats, coeff) == (
+                want[coeff]), [A.entries for A in mats]
+        else:
+            assert reduced_homology(case, coeff) == all_columns_reduced_homology(case, coeff), (
+                case.maximal_faces)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

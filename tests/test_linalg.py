@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PrimeField, RationalField, kernel_basis, reduce_against, rref
-from torictop.linalg import det_int, echelon, kernel_vectors, normal_form, rank_int
+from torictop.errors import InputError
+from torictop.linalg import (
+    coeff_prime,
+    det_int,
+    echelon,
+    kernel_vectors,
+    normal_form,
+    rank_int,
+)
 
 FIELDS = (2, 3, 5, 7, 0)  # the p of echelon; 0 is Q
 
@@ -119,3 +127,13 @@ def test_rank_and_determinant_match_sympy():
             with pytest.raises(ValueError):
                 det_int(rows)
     assert squares > 200  # square and singular matrices were really drawn
+
+
+@pytest.mark.parametrize("tag", ["F" + "0" * 5000 + "7", "F" + "٣" * 5000, "F02", "F٣"],
+                         ids=["F0...07", "F<5000 Arabic-Indic 3s>", "F02", "F٣"])
+def test_a_tag_with_a_leading_zero_or_a_non_ascii_digit_is_not_canonical(tag):
+    # checked before int(), which refuses more than 4300 digits and would
+    # leave only the bound's message for a small prime padded with zeros
+    with pytest.raises(InputError, match="is not canonical"):
+        coeff_prime(tag)
+    assert coeff_prime("F7") == 7
